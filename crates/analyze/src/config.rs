@@ -27,7 +27,7 @@
 //! blessed = ["crates/core/src/parallel.rs"]
 //!
 //! [rules.R1]
-//! roots = ["serve::handle_connection", ...]  # panic-reachability roots
+//! roots = ["serve::serve_conn", ...]  # panic-reachability roots
 //!
 //! [rules.R2]
 //! crates = ["core", ...]     # crates checked for discarded Results

@@ -60,7 +60,6 @@ fn bench_ablations(c: &mut Criterion) {
             b.iter(|| {
                 let mut rocket = Rocket::new(RocketConfig {
                     n_kernels: 150,
-                    n_threads: 2,
                     features,
                 });
                 rocket.fit(train, None, &mut seeded(9));

@@ -39,20 +39,6 @@ pub enum RocketFeatures {
 pub struct RocketConfig {
     /// Number of random kernels (paper: 10 000; each yields 2 features).
     pub n_kernels: usize,
-    /// Worker threads for the transform. `0` (the default, and the
-    /// recommended setting) defers to the workspace-wide pool —
-    /// `tsda_core::parallel::ThreadLimit` / the `TSDA_THREADS`
-    /// environment variable. A non-zero value forces an explicit
-    /// per-transform budget and exists only for backwards
-    /// compatibility; features are bit-identical either way.
-    ///
-    /// Note for benchmarking/CI: with `0`, the resolved count falls all
-    /// the way through to `available_parallelism`, i.e. whatever
-    /// machine the job landed on. Timings published as a contract
-    /// (`perf_baseline`, the CI perf gate) therefore pin the count
-    /// explicitly via `ThreadLimit::set` and record it per row, instead
-    /// of trusting the deferral.
-    pub n_threads: usize,
     /// Pooled feature set per kernel.
     pub features: RocketFeatures,
 }
@@ -60,19 +46,14 @@ pub struct RocketConfig {
 impl Default for RocketConfig {
     /// Laptop-scale default; use `paper()` for the full 10 000 kernels.
     fn default() -> Self {
-        Self { n_kernels: 500, n_threads: 0, features: RocketFeatures::PpvAndMax }
+        Self { n_kernels: 500, features: RocketFeatures::PpvAndMax }
     }
 }
 
 impl RocketConfig {
     /// The paper's configuration: 10 000 kernels, PPV + max.
     pub fn paper() -> Self {
-        Self { n_kernels: 10_000, n_threads: 0, features: RocketFeatures::PpvAndMax }
-    }
-
-    /// The pool the transform runs on (shared pool when `n_threads == 0`).
-    fn pool(&self) -> Pool {
-        Pool::with_threads(self.n_threads)
+        Self { n_kernels: 10_000, features: RocketFeatures::PpvAndMax }
     }
 }
 
@@ -206,7 +187,7 @@ impl Rocket {
         let kernels = &self.kernels;
         let feature_kind = self.config.features;
         let lvl = simd::level();
-        self.config.pool().par_map_indexed(ds.len(), |i| {
+        Pool::global().par_map_indexed(ds.len(), |i| {
             let s = &ds.series()[i];
             let mut f = Vec::with_capacity(kernels.len() * 2);
             // One conv-output scratch buffer per series, reused across
@@ -263,7 +244,10 @@ impl Rocket {
         let mut w = CodecWriter::new(ROCKET_KIND);
         let mut cfg = ByteWriter::new();
         cfg.usize(self.config.n_kernels);
-        cfg.usize(self.config.n_threads);
+        // The retired per-model thread budget: the slot stays so model
+        // files keep one layout; the transform always runs on the
+        // shared pool.
+        cfg.usize(0);
         cfg.u8(match self.config.features {
             RocketFeatures::PpvAndMax => 0,
             RocketFeatures::PpvOnly => 1,
@@ -296,7 +280,7 @@ impl Rocket {
         r.expect_kind(ROCKET_KIND)?;
         let mut cfg = ByteReader::new(r.section("config")?);
         let n_kernels = cfg.usize()?;
-        let n_threads = cfg.usize()?;
+        let _retired_thread_budget = cfg.usize()?;
         let features = match cfg.u8()? {
             0 => RocketFeatures::PpvAndMax,
             1 => RocketFeatures::PpvOnly,
@@ -336,7 +320,7 @@ impl Rocket {
         ks.finish()?;
         let ridge = RidgeClassifier::load_codec(&CodecReader::parse(r.section("ridge")?)?)?;
         Ok(Self {
-            config: RocketConfig { n_kernels, n_threads, features },
+            config: RocketConfig { n_kernels, features },
             kernels,
             ridge,
             input_shape,
@@ -389,10 +373,36 @@ mod tests {
     }
 
     #[test]
+    fn model_files_with_a_nonzero_thread_budget_load_and_predict_identically() {
+        let train = sine_problem(10, 40, 31);
+        let test = sine_problem(6, 40, 32);
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+        rocket.fit(&train, None, &mut seeded(33));
+        let saved = rocket.save_bytes().unwrap();
+        // Re-pack the same model with the retired thread-budget slot
+        // set, as files written while the budget was honoured carry it.
+        let current = CodecReader::parse(&saved).unwrap();
+        let mut cfg = ByteWriter::new();
+        cfg.usize(60);
+        cfg.usize(2);
+        cfg.u8(0);
+        let mut w = CodecWriter::new(ROCKET_KIND);
+        w.section("config", cfg.into_bytes());
+        for name in ["meta", "kernels", "ridge"] {
+            w.section(name, current.section(name).unwrap().to_vec());
+        }
+        let mut legacy = Rocket::load_bytes(&w.finish()).unwrap();
+        assert_eq!(legacy.transform(&test), rocket.transform(&test));
+        assert_eq!(legacy.predict(&test), rocket.predict(&test));
+        // Saving again writes the slot as 0: the current layout.
+        assert_eq!(legacy.save_bytes().unwrap(), saved);
+    }
+
+    #[test]
     fn separates_frequency_classes() {
         let train = sine_problem(20, 50, 1);
         let test = sine_problem(10, 50, 2);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 200, n_threads: 2, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
         let acc = rocket.fit_score(&train, None, &test, &mut seeded(3));
         assert!(acc > 0.9, "accuracy {acc}");
     }
@@ -430,7 +440,7 @@ mod tests {
             }
             t
         };
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 300, n_threads: 2, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 300, ..RocketConfig::default() });
         let acc = rocket.fit_score(&ds, None, &test, &mut seeded(5));
         assert!(acc > 0.8, "accuracy {acc}");
     }
@@ -438,7 +448,7 @@ mod tests {
     #[test]
     fn transform_feature_count_is_two_per_kernel() {
         let ds = sine_problem(4, 30, 6);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, n_threads: 2, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
         rocket.fit(&ds, None, &mut seeded(7));
         let f = rocket.transform(&ds);
         assert_eq!(f.len(), 8);
@@ -448,7 +458,7 @@ mod tests {
     #[test]
     fn ppv_is_a_proportion() {
         let ds = sine_problem(4, 30, 8);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, n_threads: 1, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
         rocket.fit(&ds, None, &mut seeded(9));
         let f = rocket.transform(&ds);
         for row in &f {
@@ -461,8 +471,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let ds = sine_problem(5, 30, 10);
-        let mut r1 = Rocket::new(RocketConfig { n_kernels: 30, n_threads: 2, ..RocketConfig::default() });
-        let mut r2 = Rocket::new(RocketConfig { n_kernels: 30, n_threads: 2, ..RocketConfig::default() });
+        let mut r1 = Rocket::new(RocketConfig { n_kernels: 30, ..RocketConfig::default() });
+        let mut r2 = Rocket::new(RocketConfig { n_kernels: 30, ..RocketConfig::default() });
         r1.fit(&ds, None, &mut seeded(11));
         r2.fit(&ds, None, &mut seeded(11));
         assert_eq!(r1.predict(&ds), r2.predict(&ds));
@@ -474,7 +484,6 @@ mod tests {
         let test = sine_problem(8, 40, 21);
         let mut rocket = Rocket::new(RocketConfig {
             n_kernels: 200,
-            n_threads: 2,
             features: RocketFeatures::PpvOnly,
         });
         rocket.fit(&train, None, &mut seeded(22));
@@ -504,7 +513,7 @@ mod tests {
                 );
             }
         }
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, n_threads: 2, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
         let acc = rocket.fit_score(&ds, None, &ds, &mut seeded(13));
         assert!(acc > 0.9, "accuracy {acc}");
     }

@@ -8,7 +8,6 @@ mod activation;
 mod conv;
 mod dense;
 mod gru;
-mod lstm;
 mod norm;
 mod pool;
 
@@ -16,7 +15,6 @@ pub use activation::Activation;
 pub use conv::Conv1d;
 pub use dense::Dense;
 pub use gru::Gru;
-pub use lstm::Lstm;
 pub use norm::BatchNorm1d;
 pub use pool::{GlobalAvgPool1d, MaxPool1dSame};
 

@@ -25,7 +25,7 @@ pub mod optim;
 pub mod tensor;
 pub mod train;
 
-pub use layers::{Layer, Activation, BatchNorm1d, Conv1d, Dense, GlobalAvgPool1d, Gru, Lstm, MaxPool1dSame};
+pub use layers::{Layer, Activation, BatchNorm1d, Conv1d, Dense, GlobalAvgPool1d, Gru, MaxPool1dSame};
 pub use loss::{mse_loss, softmax_cross_entropy, bce_with_logits};
 pub use optim::{Adam, Sgd};
 pub use tensor::Tensor;

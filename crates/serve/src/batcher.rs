@@ -1,5 +1,10 @@
-//! Adaptive micro-batching: one worker thread per model coalesces
-//! concurrent predict requests into single batched `predict` calls.
+//! Adaptive micro-batching: one worker thread per lane coalesces
+//! concurrent requests into single batched calls. Every model and every
+//! augmentation pipeline gets a lane, and all lanes are the same code —
+//! a [`JobRing`], a [`TicketPool`], [`QueueCounters`], and one worker
+//! loop — generic over the job payload. A lane supplies only its batch
+//! call: `ModelEntry::predict_batch_into` for a model, or
+//! `AugPipeline::run_each` for a pipeline.
 //!
 //! The flush policy is the classic adaptive one: the first job to
 //! arrive opens a window of `max_wait`; the batch runs when either
@@ -8,7 +13,7 @@
 //! forward pass across requests); a lone request waits at most
 //! `max_wait` before running solo.
 //!
-//! Queues are **bounded** (`queue_cap` jobs per model). When a model's
+//! Queues are **bounded** (`queue_cap` jobs per lane). When a lane's
 //! queue is full, [`Batcher::submit`] refuses with
 //! [`SubmitError::Overloaded`] and a backoff hint instead of buffering
 //! without limit — the connection handler turns that into an explicit
@@ -27,9 +32,9 @@
 //! * each reply travels through a recycled [`ReplyTicket`] from a warm
 //!   [`TicketPool`] (also preallocated to `queue_cap`), replacing the
 //!   per-request `mpsc::sync_channel` pair the first version allocated;
-//! * the workers keep per-thread scratch (`series` / `pending` vectors
-//!   sized to `max_batch`) and **move** each job's series into the
-//!   batch instead of cloning it.
+//! * the workers keep per-thread scratch (payload / pending / result
+//!   vectors sized to `max_batch`) and **move** each job's payload into
+//!   the batch instead of cloning it.
 //!
 //! The only remaining per-request allocation is the decoded request
 //! series itself, which the client owns. The `stats` endpoint exposes
@@ -63,7 +68,7 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// Flush this long after the first pending request arrived.
     pub max_wait: Duration,
-    /// Maximum jobs queued per model before submits are shed with an
+    /// Maximum jobs queued per lane before submits are shed with an
     /// `overloaded` reply.
     pub queue_cap: usize,
 }
@@ -74,26 +79,25 @@ impl Default for BatchConfig {
     }
 }
 
-/// The answer a connection handler gets back for one queued series.
+/// The answer a connection handler gets back for one queued job: a
+/// predicted label, or an augmented series.
 #[derive(Debug, Clone)]
-pub struct BatchReply {
-    /// Predicted label, or a client-facing error message.
-    pub result: Result<usize, String>,
-    /// How many series shared the batch.
+pub struct BatchReply<T = Label> {
+    /// The job's result, or a client-facing error message.
+    pub result: Result<T, String>,
+    /// How many jobs shared the batch.
     pub batch_size: usize,
-    /// Queue wait + predict time for this job, microseconds.
+    /// Queue wait + batch time for this job, microseconds.
     pub micros: u64,
 }
 
-/// The answer a connection handler gets back for one queued augment.
-#[derive(Debug, Clone)]
-pub struct AugReply {
-    /// Transformed series, or a client-facing error message.
-    pub result: Result<Mts, String>,
-    /// How many augments shared the batch.
-    pub batch_size: usize,
-    /// Queue wait + execute time for this job, microseconds.
-    pub micros: u64,
+impl<T> BatchReply<T> {
+    /// The reply a [`ReplySlot`] posts when dropped without an explicit
+    /// answer, so an abandoned job can never deadlock its waiting
+    /// connection.
+    fn abandoned() -> Self {
+        Self { result: Err("server shutting down".to_string()), batch_size: 0, micros: 0 }
+    }
 }
 
 /// Why a submit was refused.
@@ -103,7 +107,7 @@ pub enum SubmitError {
     UnknownModel,
     /// No worker serves this pipeline name.
     UnknownPipeline,
-    /// The model's queue is full (or the fault plan shed the submit);
+    /// The lane's queue is full (or the fault plan shed the submit);
     /// retry after roughly `retry_ms` milliseconds.
     Overloaded {
         /// Suggested client backoff, milliseconds.
@@ -111,25 +115,6 @@ pub enum SubmitError {
     },
     /// The batcher is shutting down; the job was not queued.
     Closed,
-}
-
-/// The reply a [`ReplySlot`] posts when dropped without an explicit
-/// answer, so an abandoned job can never deadlock its waiting
-/// connection.
-trait AbandonedReply: Sized {
-    fn abandoned() -> Self;
-}
-
-impl AbandonedReply for BatchReply {
-    fn abandoned() -> Self {
-        Self { result: Err("server shutting down".to_string()), batch_size: 0, micros: 0 }
-    }
-}
-
-impl AbandonedReply for AugReply {
-    fn abandoned() -> Self {
-        Self { result: Err("server shutting down".to_string()), batch_size: 0, micros: 0 }
-    }
 }
 
 /// A reusable one-shot reply rendezvous: the worker posts into `slot`,
@@ -185,14 +170,14 @@ impl<T> TicketPool<T> {
 }
 
 /// Worker-side half of a ticket. Dropping it without [`Self::send`]
-/// posts [`AbandonedReply::abandoned`] so the waiter always wakes.
-struct ReplySlot<T: AbandonedReply> {
-    ticket: Arc<ReplyTicket<T>>,
+/// posts [`BatchReply::abandoned`] so the waiter always wakes.
+struct ReplySlot<T> {
+    ticket: Arc<ReplyTicket<BatchReply<T>>>,
     sent: bool,
 }
 
-impl<T: AbandonedReply> ReplySlot<T> {
-    fn send(mut self, value: T) {
+impl<T> ReplySlot<T> {
+    fn send(mut self, value: BatchReply<T>) {
         *self.ticket.lock() = Some(value);
         self.ticket.ready.notify_one();
         self.sent = true;
@@ -205,13 +190,13 @@ impl<T: AbandonedReply> ReplySlot<T> {
     }
 }
 
-impl<T: AbandonedReply> Drop for ReplySlot<T> {
+impl<T> Drop for ReplySlot<T> {
     fn drop(&mut self) {
         if !self.sent {
             {
                 let mut slot = self.ticket.lock();
                 if slot.is_none() {
-                    *slot = Some(T::abandoned());
+                    *slot = Some(BatchReply::abandoned());
                 }
             }
             self.ticket.ready.notify_one();
@@ -249,18 +234,11 @@ impl<T> PendingReply<T> {
     }
 }
 
-struct Job {
-    series: Mts,
+/// One queued job: the lane's payload and the slot its answer goes to.
+struct Job<P, R> {
+    payload: P,
     enqueued: Instant,
-    reply: ReplySlot<BatchReply>,
-}
-
-struct AugJob {
-    series: Mts,
-    seed: u64,
-    index: u64,
-    enqueued: Instant,
-    reply: ReplySlot<AugReply>,
+    reply: ReplySlot<R>,
 }
 
 /// A job refused by [`JobRing::offer`], handed back so its ticket can
@@ -383,22 +361,39 @@ struct QueueCounters {
     ticket_allocs: AtomicU64,
 }
 
-struct ModelQueue {
-    ring: Arc<JobRing<Job>>,
-    tickets: Arc<TicketPool<BatchReply>>,
-    counters: Arc<QueueCounters>,
+/// One batch lane: the job ring its worker drains, the warm reply
+/// tickets, and the per-queue counters.
+struct Lane<P, R> {
+    /// `"predict"` or `"augment"`, for the `stats` rows.
+    kind: &'static str,
+    ring: Arc<JobRing<Job<P, R>>>,
+    tickets: Arc<TicketPool<BatchReply<R>>>,
+    counters: QueueCounters,
 }
 
-struct AugQueue {
-    ring: Arc<JobRing<AugJob>>,
-    tickets: Arc<TicketPool<AugReply>>,
-    counters: Arc<QueueCounters>,
+impl<P, R> Lane<P, R> {
+    /// This lane's row on the `stats` endpoint.
+    fn row(&self, name: &str) -> Value {
+        let c = &self.counters;
+        Value::Object(vec![
+            ("name".into(), Value::Str(name.to_string())),
+            ("lane".into(), Value::Str(self.kind.to_string())),
+            ("depth".into(), Value::Num(self.ring.queued() as f64)),
+            ("submitted".into(), Value::Num(c.submitted.load(Ordering::Relaxed) as f64)),
+            ("shed".into(), Value::Num(c.shed.load(Ordering::Relaxed) as f64)),
+            ("ticket_allocs".into(), Value::Num(c.ticket_allocs.load(Ordering::Relaxed) as f64)),
+        ])
+    }
 }
 
-/// Handle for submitting jobs to the per-model batch workers.
+/// An augment lane's payload: the series and its `(seed, index)`, the
+/// item layout `AugPipeline::run_each` takes.
+type AugItem = (Mts, u64, u64);
+
+/// Handle for submitting jobs to the per-model and per-pipeline lanes.
 pub struct Batcher {
-    queues: BTreeMap<String, ModelQueue>,
-    aug_queues: BTreeMap<String, AugQueue>,
+    models: BTreeMap<String, Lane<Mts, Label>>,
+    pipelines: BTreeMap<String, Lane<AugItem, Mts>>,
     workers: Vec<JoinHandle<()>>,
     /// Backoff hint for queue-full sheds: a few flush windows.
     shed_retry_ms: u64,
@@ -406,9 +401,9 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawn one batch worker per registered model. Errors when the OS
-    /// refuses a worker thread; already-spawned workers are shut down
-    /// cleanly before the error is returned.
+    /// Spawn one lane per registered model and per pipeline. Errors
+    /// when the OS refuses a worker thread; already-spawned workers are
+    /// shut down cleanly before the error is returned.
     pub fn start(
         registry: Arc<ModelRegistry>,
         pipelines: Arc<PipelineRegistry>,
@@ -416,79 +411,87 @@ impl Batcher {
         config: BatchConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self, TsdaError> {
-        let mut queues = BTreeMap::new();
-        let mut aug_queues = BTreeMap::new();
-        let mut workers = Vec::new();
-        let queue_cap = config.queue_cap.max(1);
-        let shed_retry_ms = (config.max_wait.as_millis() as u64).max(1) * 4;
-        for name in registry.names() {
-            let ring = Arc::new(JobRing::with_capacity(queue_cap));
-            let registry = Arc::clone(&registry);
-            let stats = Arc::clone(&stats);
-            let model = name.clone();
-            let worker_ring = Arc::clone(&ring);
-            let worker_faults = faults.clone();
-            let spawned = std::thread::Builder::new().name(format!("batch-{name}")).spawn(
-                move || {
-                    worker_loop(&registry, &model, &stats, config, &worker_ring, worker_faults.as_deref())
-                },
-            );
-            match spawned {
-                Ok(handle) => {
-                    queues.insert(
-                        name,
-                        ModelQueue {
-                            ring,
-                            tickets: TicketPool::warm(queue_cap),
-                            counters: Arc::new(QueueCounters::default()),
-                        },
-                    );
-                    workers.push(handle);
-                }
-                Err(e) => {
-                    Self { queues, aug_queues, workers, shed_retry_ms, faults }.shutdown();
-                    return Err(TsdaError::Io(format!("spawn batch worker for {name:?}: {e}")));
-                }
+        let mut batcher = Self {
+            models: BTreeMap::new(),
+            pipelines: BTreeMap::new(),
+            workers: Vec::new(),
+            shed_retry_ms: (config.max_wait.as_millis() as u64).max(1) * 4,
+            faults,
+        };
+        match batcher.spawn_lanes(&registry, &pipelines, &stats, config) {
+            Ok(()) => Ok(batcher),
+            Err(e) => {
+                batcher.shutdown();
+                Err(e)
             }
+        }
+    }
+
+    /// One predict lane per model, one augment lane per pipeline.
+    fn spawn_lanes(
+        &mut self,
+        registry: &Arc<ModelRegistry>,
+        pipelines: &Arc<PipelineRegistry>,
+        stats: &Arc<ServerStats>,
+        config: BatchConfig,
+    ) -> Result<(), TsdaError> {
+        for name in registry.names() {
+            let (registry, model) = (Arc::clone(registry), name.clone());
+            let predict = move |series: &[Mts], labels: &mut Vec<Label>| {
+                let entry = registry
+                    .get(&model)
+                    .ok_or_else(|| format!("model {model:?} is not registered"))?;
+                entry
+                    .predict_batch_into(series, labels)
+                    .map_err(|e| format!("prediction failed: {e}"))
+            };
+            let lane = self.spawn_lane(format!("batch-{name}"), "predict", stats, config, predict)?;
+            self.models.insert(name, lane);
         }
         for name in pipelines.names() {
-            let ring = Arc::new(JobRing::with_capacity(queue_cap));
-            let pipelines = Arc::clone(&pipelines);
-            let stats = Arc::clone(&stats);
-            let pipeline = name.clone();
-            let worker_ring = Arc::clone(&ring);
-            let worker_faults = faults.clone();
-            let spawned = std::thread::Builder::new().name(format!("aug-{name}")).spawn(
-                move || {
-                    aug_worker_loop(
-                        &pipelines,
-                        &pipeline,
-                        &stats,
-                        config,
-                        &worker_ring,
-                        worker_faults.as_deref(),
-                    )
-                },
-            );
-            match spawned {
-                Ok(handle) => {
-                    aug_queues.insert(
-                        name,
-                        AugQueue {
-                            ring,
-                            tickets: TicketPool::warm(queue_cap),
-                            counters: Arc::new(QueueCounters::default()),
-                        },
-                    );
-                    workers.push(handle);
-                }
-                Err(e) => {
-                    Self { queues, aug_queues, workers, shed_retry_ms, faults }.shutdown();
-                    return Err(TsdaError::Io(format!("spawn aug worker for {name:?}: {e}")));
-                }
-            }
+            let (pipelines, pipeline) = (Arc::clone(pipelines), name.clone());
+            // Each element is a pure function of its own (seed, index),
+            // so results are independent of how requests happened to
+            // coalesce into the batch.
+            let augment = move |items: &[AugItem], out: &mut Vec<Mts>| {
+                let p = pipelines
+                    .get(&pipeline)
+                    .ok_or_else(|| format!("pipeline {pipeline:?} is not registered"))?;
+                *out = p.run_each(items);
+                Ok(())
+            };
+            let lane = self.spawn_lane(format!("aug-{name}"), "augment", stats, config, augment)?;
+            self.pipelines.insert(name, lane);
         }
-        Ok(Self { queues, aug_queues, workers, shed_retry_ms, faults })
+        Ok(())
+    }
+
+    /// Spawn the worker thread of one lane; `run_batch` is the lane's
+    /// batch call.
+    fn spawn_lane<P: Send + 'static, R: Send + 'static>(
+        &mut self,
+        thread: String,
+        kind: &'static str,
+        stats: &Arc<ServerStats>,
+        config: BatchConfig,
+        run_batch: impl FnMut(&[P], &mut Vec<R>) -> Result<(), String> + Send + 'static,
+    ) -> Result<Lane<P, R>, TsdaError> {
+        let queue_cap = config.queue_cap.max(1);
+        let ring = Arc::new(JobRing::with_capacity(queue_cap));
+        let worker_ring = Arc::clone(&ring);
+        let stats = Arc::clone(stats);
+        let faults = self.faults.clone();
+        let worker = std::thread::Builder::new()
+            .name(thread.clone())
+            .spawn(move || lane_loop(&worker_ring, config, &stats, faults.as_deref(), run_batch))
+            .map_err(|e| TsdaError::Io(format!("spawn worker {thread}: {e}")))?;
+        self.workers.push(worker);
+        Ok(Lane {
+            kind,
+            ring,
+            tickets: TicketPool::warm(queue_cap),
+            counters: QueueCounters::default(),
+        })
     }
 
     /// Queue one validated series for the named model. Returns a
@@ -501,44 +504,12 @@ impl Batcher {
     /// — the ring and the ticket pool are both preallocated.
     #[doc(alias = "tsda::hot")]
     pub fn submit(&self, model: &str, series: Mts) -> Result<PendingReply<BatchReply>, SubmitError> {
-        let queue = self.queues.get(model).ok_or(SubmitError::UnknownModel)?;
-        if let Some(plan) = self.faults.as_deref() {
-            if let Some(retry_ms) = plan.shed() {
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Overloaded { retry_ms });
-            }
-        }
-        let ticket = take_ticket(&queue.tickets, &queue.counters);
-        let job = Job {
-            series,
-            enqueued: Instant::now(),
-            reply: ReplySlot { ticket: Arc::clone(&ticket), sent: false },
-        };
-        match queue.ring.offer(job) {
-            Ok(()) => {
-                queue.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(PendingReply { ticket, pool: Arc::clone(&queue.tickets) })
-            }
-            Err(Refusal::Full(job)) => {
-                job.reply.cancel();
-                queue.tickets.recycle(&ticket);
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Overloaded { retry_ms: self.shed_retry_ms })
-            }
-            Err(Refusal::Closed(job)) => {
-                job.reply.cancel();
-                Err(SubmitError::Closed)
-            }
-        }
+        let lane = self.models.get(model).ok_or(SubmitError::UnknownModel)?;
+        self.enqueue(lane, series)
     }
 
-    /// Queue one series for the named augmentation pipeline. Same
-    /// bounded-queue discipline as [`Self::submit`]: full queues shed
-    /// with a retry hint instead of buffering without limit.
-    ///
-    /// Hot path: runs once per augment request on the connection
-    /// thread, so `tsda_analyze` R3/A1 keep allocations out of it and
-    /// its callees.
+    /// Queue one series for the named augmentation pipeline, under the
+    /// same bounded-queue discipline as [`Self::submit`].
     #[doc(alias = "tsda::hot")]
     pub fn submit_augment(
         &self,
@@ -546,31 +517,38 @@ impl Batcher {
         series: Mts,
         seed: u64,
         index: u64,
-    ) -> Result<PendingReply<AugReply>, SubmitError> {
-        let queue = self.aug_queues.get(pipeline).ok_or(SubmitError::UnknownPipeline)?;
-        if let Some(plan) = self.faults.as_deref() {
-            if let Some(retry_ms) = plan.shed() {
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Overloaded { retry_ms });
-            }
+    ) -> Result<PendingReply<BatchReply<Mts>>, SubmitError> {
+        let lane = self.pipelines.get(pipeline).ok_or(SubmitError::UnknownPipeline)?;
+        self.enqueue(lane, (series, seed, index))
+    }
+
+    /// Put one payload on `lane` behind a warm ticket: full queues (and
+    /// fault-plan sheds) refuse with a retry hint instead of buffering
+    /// without limit.
+    fn enqueue<P, R>(
+        &self,
+        lane: &Lane<P, R>,
+        payload: P,
+    ) -> Result<PendingReply<BatchReply<R>>, SubmitError> {
+        if let Some(retry_ms) = self.faults.as_deref().and_then(FaultPlan::shed) {
+            lane.counters.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Overloaded { retry_ms });
         }
-        let ticket = take_ticket(&queue.tickets, &queue.counters);
-        let job = AugJob {
-            series,
-            seed,
-            index,
+        let ticket = take_ticket(&lane.tickets, &lane.counters);
+        let job = Job {
+            payload,
             enqueued: Instant::now(),
             reply: ReplySlot { ticket: Arc::clone(&ticket), sent: false },
         };
-        match queue.ring.offer(job) {
+        match lane.ring.offer(job) {
             Ok(()) => {
-                queue.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(PendingReply { ticket, pool: Arc::clone(&queue.tickets) })
+                lane.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                Ok(PendingReply { ticket, pool: Arc::clone(&lane.tickets) })
             }
             Err(Refusal::Full(job)) => {
                 job.reply.cancel();
-                queue.tickets.recycle(&ticket);
-                queue.counters.shed.fetch_add(1, Ordering::Relaxed);
+                lane.tickets.recycle(&ticket);
+                lane.counters.shed.fetch_add(1, Ordering::Relaxed);
                 Err(SubmitError::Overloaded { retry_ms: self.shed_retry_ms })
             }
             Err(Refusal::Closed(job)) => {
@@ -580,23 +558,13 @@ impl Batcher {
         }
     }
 
-    /// Current queue depth for a model (observability / tests).
-    pub fn depth(&self, model: &str) -> Option<usize> {
-        self.queues.get(model).map(|q| q.ring.queued())
-    }
-
     /// Per-queue counters for the `stats` endpoint: live depth,
     /// accepted / shed submits, and hot-path ticket allocations (zero
     /// while the warm pool covers the in-flight high-water mark).
     pub fn queue_stats(&self) -> Value {
-        let mut rows = Vec::new();
-        for (name, q) in &self.queues {
-            rows.push(queue_row(name, "predict", q.ring.queued(), &q.counters));
-        }
-        for (name, q) in &self.aug_queues {
-            rows.push(queue_row(name, "augment", q.ring.queued(), &q.counters));
-        }
-        Value::Array(rows)
+        let models = self.models.iter().map(|(name, lane)| lane.row(name));
+        let pipelines = self.pipelines.iter().map(|(name, lane)| lane.row(name));
+        Value::Array(models.chain(pipelines).collect())
     }
 
     /// Close every ring (workers drain every queued job, then exit)
@@ -609,11 +577,11 @@ impl Batcher {
     }
 
     fn close_rings(&self) {
-        for q in self.queues.values() {
-            q.ring.close();
+        for lane in self.models.values() {
+            lane.ring.close();
         }
-        for q in self.aug_queues.values() {
-            q.ring.close();
+        for lane in self.pipelines.values() {
+            lane.ring.close();
         }
     }
 }
@@ -640,74 +608,43 @@ fn take_ticket<T>(pool: &Arc<TicketPool<T>>, counters: &QueueCounters) -> Arc<Re
     }
 }
 
-fn queue_row(name: &str, lane: &str, depth: usize, c: &QueueCounters) -> Value {
-    Value::Object(vec![
-        ("name".into(), Value::Str(name.to_string())),
-        ("lane".into(), Value::Str(lane.to_string())),
-        ("depth".into(), Value::Num(depth as f64)),
-        ("submitted".into(), Value::Num(c.submitted.load(Ordering::Relaxed) as f64)),
-        ("shed".into(), Value::Num(c.shed.load(Ordering::Relaxed) as f64)),
-        ("ticket_allocs".into(), Value::Num(c.ticket_allocs.load(Ordering::Relaxed) as f64)),
-    ])
-}
-
-fn worker_loop(
-    registry: &ModelRegistry,
-    model: &str,
-    stats: &ServerStats,
+/// The one batch worker loop, shared by every lane. It blocks for a
+/// first job, coalesces until `max_batch` jobs or the `max_wait` window
+/// closes, makes the lane's one batch call, and answers every job. A
+/// closed-and-drained ring is the shutdown signal, so a shutting-down
+/// server still answers everything already queued.
+fn lane_loop<P, R>(
+    ring: &JobRing<Job<P, R>>,
     config: BatchConfig,
-    ring: &JobRing<Job>,
+    stats: &ServerStats,
     faults: Option<&FaultPlan>,
+    mut run_batch: impl FnMut(&[P], &mut Vec<R>) -> Result<(), String>,
 ) {
-    let Some(entry) = registry.get(model) else {
-        // The batcher only spawns workers for registered models; if the
-        // registry ever disagrees, fail each job cleanly instead of
-        // panicking the worker thread.
-        while let Some(job) = ring.pop_blocking() {
-            job.reply.send(BatchReply {
-                result: Err(format!("model {model:?} is not registered")),
-                batch_size: 0,
-                micros: 0,
-            });
-        }
-        return;
-    };
     let max_batch = config.max_batch.max(1);
-    // Worker scratch, reused across batches: the series buffer handed
-    // to `predict_batch_into`, the reply slots awaiting labels, and
-    // the label output. After the first full batch none of these grow.
-    let mut series: Vec<Mts> = Vec::with_capacity(max_batch);
-    let mut pending: Vec<(Instant, ReplySlot<BatchReply>)> = Vec::with_capacity(max_batch);
-    let mut labels: Vec<Label> = Vec::with_capacity(max_batch);
-    loop {
-        // Block for the first job; a closed-and-drained ring is the
-        // shutdown signal, so a shutting-down server still answers
-        // everything already queued.
-        let first = match ring.pop_blocking() {
-            Some(job) => job,
-            None => return,
-        };
+    // Worker scratch, reused across batches: each job's payload MOVES
+    // into `batch` (no per-job clone), its reply slot waits in
+    // `pending`, and the batch call writes into `results`. After the
+    // first full batch none of these grow.
+    let mut batch: Vec<P> = Vec::with_capacity(max_batch);
+    let mut pending: Vec<(Instant, ReplySlot<R>)> = Vec::with_capacity(max_batch);
+    let mut results: Vec<R> = Vec::with_capacity(max_batch);
+    while let Some(first) = ring.pop_blocking() {
         let deadline = Instant::now() + config.max_wait;
-        series.push(first.series);
-        pending.push((first.enqueued, first.reply));
-        while pending.len() < max_batch {
-            match ring.pop_until(deadline) {
-                Some(job) => {
-                    series.push(job.series);
-                    pending.push((job.enqueued, job.reply));
-                }
-                None => break,
-            }
+        let mut next = Some(first);
+        while let Some(job) = next {
+            batch.push(job.payload);
+            pending.push((job.enqueued, job.reply));
+            next = if pending.len() < max_batch { ring.pop_until(deadline) } else { None };
         }
 
-        // Injected stall: the model "hangs" before the batch runs,
+        // Injected stall: the lane "hangs" before the batch runs,
         // building real queue depth behind it.
         if let Some(pause) = faults.and_then(FaultPlan::stall) {
             std::thread::sleep(pause);
         }
 
         let batch_start = Instant::now();
-        let outcome = entry.predict_batch_into(&series, &mut labels);
+        let outcome = run_batch(&batch, &mut results);
         let batch_micros = batch_start.elapsed().as_micros() as u64;
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.batched_items.fetch_add(pending.len() as u64, Ordering::Relaxed);
@@ -716,15 +653,14 @@ fn worker_loop(
         let batch_size = pending.len();
         match outcome {
             Ok(()) => {
-                debug_assert_eq!(labels.len(), batch_size);
-                for ((enqueued, reply), label) in pending.drain(..).zip(labels.drain(..)) {
+                debug_assert_eq!(results.len(), batch_size);
+                for ((enqueued, reply), value) in pending.drain(..).zip(results.drain(..)) {
                     let micros = enqueued.elapsed().as_micros() as u64;
                     stats.request_latency.record(micros);
-                    reply.send(BatchReply { result: Ok(label), batch_size, micros });
+                    reply.send(BatchReply { result: Ok(value), batch_size, micros });
                 }
             }
-            Err(e) => {
-                let msg = format!("prediction failed: {e}");
+            Err(msg) => {
                 for (enqueued, reply) in pending.drain(..) {
                     let micros = enqueued.elapsed().as_micros() as u64;
                     stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -733,78 +669,8 @@ fn worker_loop(
                 }
             }
         }
-        series.clear();
-    }
-}
-
-fn aug_worker_loop(
-    pipelines: &PipelineRegistry,
-    name: &str,
-    stats: &ServerStats,
-    config: BatchConfig,
-    ring: &JobRing<AugJob>,
-    faults: Option<&FaultPlan>,
-) {
-    let Some(pipeline) = pipelines.get(name) else {
-        // Workers are only spawned for registered pipelines; if the
-        // registry ever disagrees, fail each job cleanly instead of
-        // panicking the worker thread.
-        while let Some(job) = ring.pop_blocking() {
-            job.reply.send(AugReply {
-                result: Err(format!("pipeline {name:?} is not registered")),
-                batch_size: 0,
-                micros: 0,
-            });
-        }
-        return;
-    };
-    let max_batch = config.max_batch.max(1);
-    // Worker scratch, reused across batches. Each job's series MOVES
-    // into the items buffer — no per-job clone. (The transformed
-    // output series are fresh allocations by nature: they are handed
-    // to the clients.)
-    let mut items: Vec<(Mts, u64, u64)> = Vec::with_capacity(max_batch);
-    let mut pending: Vec<(Instant, ReplySlot<AugReply>)> = Vec::with_capacity(max_batch);
-    loop {
-        let first = match ring.pop_blocking() {
-            Some(job) => job,
-            None => return,
-        };
-        let deadline = Instant::now() + config.max_wait;
-        items.push((first.series, first.seed, first.index));
-        pending.push((first.enqueued, first.reply));
-        while pending.len() < max_batch {
-            match ring.pop_until(deadline) {
-                Some(job) => {
-                    items.push((job.series, job.seed, job.index));
-                    pending.push((job.enqueued, job.reply));
-                }
-                None => break,
-            }
-        }
-
-        if let Some(pause) = faults.and_then(FaultPlan::stall) {
-            std::thread::sleep(pause);
-        }
-
-        // One batched pool execution; each element is a pure function
-        // of its own (seed, index), so results are independent of how
-        // requests happened to coalesce into this batch.
-        let batch_start = Instant::now();
-        let results = pipeline.run_each(&items);
-        let batch_micros = batch_start.elapsed().as_micros() as u64;
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.batched_items.fetch_add(pending.len() as u64, Ordering::Relaxed);
-        stats.batch_latency.record(batch_micros);
-
-        let batch_size = pending.len();
-        debug_assert_eq!(results.len(), batch_size);
-        for ((enqueued, reply), out) in pending.drain(..).zip(results) {
-            let micros = enqueued.elapsed().as_micros() as u64;
-            stats.request_latency.record(micros);
-            reply.send(AugReply { result: Ok(out), batch_size, micros });
-        }
-        items.clear();
+        batch.clear();
+        results.clear();
     }
 }
 

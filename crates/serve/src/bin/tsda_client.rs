@@ -29,13 +29,16 @@
 //! report goes to `BENCH_augment.json` by default.
 
 use serde::Value;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsda_core::Mts;
 use tsda_datasets::registry::ALL_DATASETS;
 use tsda_datasets::synth::{generate, GenOptions};
+use tsda_augment::declarative::AugPipeline;
 use tsda_serve::client::{
     predict_line, wait_ready, Proto, RetryPolicy, RetryingClient, WireRequest,
 };
+use tsda_serve::pipelines::PipelineRegistry;
 
 struct Args {
     addr: String,
@@ -238,105 +241,44 @@ impl LoadResult {
     }
 }
 
-/// Closed-loop load against one model: `concurrency` worker threads,
-/// each with its own retrying client, splitting `requests` between
-/// them.
-fn run_load(
-    args: &Args,
-    model: &str,
-    series: &[Mts],
-    policy: RetryPolicy,
-) -> Result<LoadResult, String> {
-    let requests = args.requests;
-    let concurrency = args.concurrency.max(1);
-    let proto = args.proto;
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for worker in 0..concurrency {
-        let n = requests / concurrency + usize::from(worker < requests % concurrency);
-        let addr = args.addr.to_string();
-        let model = model.to_string();
-        let series = series.to_vec();
-        handles.push(std::thread::spawn(
-            move || -> Result<(Vec<u64>, usize, RetryingClient), String> {
-                let mut client =
-                    RetryingClient::new_proto(addr, policy, &format!("load-{worker}"), proto);
-                let mut latencies = Vec::with_capacity(n);
-                let mut errors = 0usize;
-                for i in 0..n {
-                    let s = &series[(worker + i * concurrency) % series.len()];
-                    let t0 = Instant::now();
-                    let reply = client.predict_mts(i as u64 + 1, &model, s)?;
-                    latencies.push(t0.elapsed().as_micros() as u64);
-                    if !reply.ok {
-                        errors += 1;
-                    }
-                }
-                Ok((latencies, errors, client))
-            },
-        ));
-    }
-    let mut latencies_us = Vec::with_capacity(requests);
-    let mut errors = 0;
-    let (mut retries, mut reconnects, mut shed_backoffs) = (0u64, 0u64, 0u64);
-    for h in handles {
-        let (lat, err, client) = h.join().map_err(|_| "load worker panicked".to_string())??;
-        latencies_us.extend(lat);
-        errors += err;
-        let c = client.counters();
-        retries += c.retries;
-        reconnects += c.reconnects;
-        shed_backoffs += c.shed_backoffs;
-    }
-    Ok(LoadResult {
-        unit: "model",
-        model: model.to_string(),
-        protocol: proto,
-        replicas: args.replicas,
-        requests,
-        errors,
-        retries,
-        reconnects,
-        shed_backoffs,
-        elapsed_s: started.elapsed().as_secs_f64(),
-        latencies_us,
-    })
+/// What a closed-loop load worker sends.
+#[derive(Clone)]
+enum LoadOp {
+    /// Predicts against a model.
+    Predict,
+    /// Augments through a pipeline; every reply is checked bit-for-bit
+    /// against the offline pipeline when one was loaded.
+    Augment(Option<Arc<AugPipeline>>),
 }
 
-/// Closed-loop augment load against one named pipeline. Every reply's
-/// series is compared bit-for-bit against the offline pipeline when a
-/// `--pipelines-file` was given; any divergence is a hard error.
-fn run_augment_load(
+/// Closed-loop load against one model or pipeline: `concurrency`
+/// worker threads, each with its own retrying client, splitting
+/// `requests` between them. A served augment that diverges from the
+/// offline pipeline is a hard error.
+fn run_load(
     args: &Args,
-    pipeline: &str,
+    target: &str,
+    op: &LoadOp,
     series: &[Mts],
-    offline: Option<&tsda_serve::pipelines::PipelineRegistry>,
     policy: RetryPolicy,
 ) -> Result<LoadResult, String> {
     let requests = args.requests;
     let concurrency = args.concurrency.max(1);
     let proto = args.proto;
     let seed = args.seed;
-    let offline_pipe = match offline {
-        Some(reg) => Some(
-            reg.get(pipeline)
-                .ok_or_else(|| format!("pipeline {pipeline:?} not in --pipelines-file"))?
-                .clone(),
-        ),
-        None => None,
-    };
     let started = Instant::now();
     let mut handles = Vec::new();
     for worker in 0..concurrency {
         let n = requests / concurrency + usize::from(worker < requests % concurrency);
         let addr = args.addr.to_string();
-        let pipeline = pipeline.to_string();
+        let target = target.to_string();
         let series = series.to_vec();
-        let offline_pipe = offline_pipe.clone();
+        let op = op.clone();
         handles.push(std::thread::spawn(
             move || -> Result<(Vec<u64>, usize, RetryingClient), String> {
+                let label = if matches!(op, LoadOp::Predict) { "load" } else { "aug" };
                 let mut client =
-                    RetryingClient::new_proto(addr, policy, &format!("aug-{worker}"), proto);
+                    RetryingClient::new_proto(addr, policy, &format!("{label}-{worker}"), proto);
                 let mut latencies = Vec::with_capacity(n);
                 let mut errors = 0usize;
                 for i in 0..n {
@@ -344,22 +286,25 @@ fn run_augment_load(
                     let s = &series[g % series.len()];
                     let index = g as u64;
                     let t0 = Instant::now();
-                    let reply = client.augment_mts(i as u64 + 1, &pipeline, seed, index, s)?;
+                    let reply = match &op {
+                        LoadOp::Predict => client.predict_mts(i as u64 + 1, &target, s)?,
+                        LoadOp::Augment(_) => {
+                            client.augment_mts(i as u64 + 1, &target, seed, index, s)?
+                        }
+                    };
                     latencies.push(t0.elapsed().as_micros() as u64);
                     if !reply.ok {
                         errors += 1;
                         continue;
                     }
+                    let LoadOp::Augment(offline) = &op else { continue };
                     let Some(got) = reply.series else {
-                        return Err(format!("{pipeline}: ok reply without a series"));
+                        return Err(format!("{target}: ok reply without a series"));
                     };
-                    if let Some(pipe) = &offline_pipe {
-                        let want = pipe.apply_one(s, seed, index);
-                        if got != want {
-                            return Err(format!(
-                                "{pipeline}: served series diverged from offline at index {index}"
-                            ));
-                        }
+                    if offline.as_ref().is_some_and(|pipe| got != pipe.apply_one(s, seed, index)) {
+                        return Err(format!(
+                            "{target}: served series diverged from offline at index {index}"
+                        ));
                     }
                 }
                 Ok((latencies, errors, client))
@@ -379,8 +324,8 @@ fn run_augment_load(
         shed_backoffs += c.shed_backoffs;
     }
     Ok(LoadResult {
-        unit: "pipeline",
-        model: pipeline.to_string(),
+        unit: if matches!(op, LoadOp::Predict) { "model" } else { "pipeline" },
+        model: target.to_string(),
         protocol: proto,
         replicas: args.replicas,
         requests,
@@ -438,62 +383,6 @@ fn run() -> Result<(), String> {
         return Err(reply.error.unwrap_or_else(|| "predict failed".into()));
     }
 
-    if args.load && args.load_augment {
-        let meta = ALL_DATASETS
-            .iter()
-            .find(|m| m.name.eq_ignore_ascii_case(&args.dataset))
-            .ok_or_else(|| format!("unknown dataset {:?}", args.dataset))?;
-        let tt = generate(meta, &GenOptions::ci(args.seed));
-        let series: Vec<Mts> = tt.test.series().to_vec();
-        if series.is_empty() {
-            return Err("dataset generated no test series".into());
-        }
-        let offline = match &args.pipelines_file {
-            Some(path) => Some(
-                tsda_serve::pipelines::PipelineRegistry::from_file(std::path::Path::new(path))
-                    .map_err(|e| format!("load {path}: {e}"))?,
-            ),
-            None => None,
-        };
-        let mut entries = Vec::new();
-        for pipeline in &args.pipelines {
-            eprintln!(
-                "augment load: pipeline {pipeline}, {} requests, concurrency {}, proto {}{}",
-                args.requests,
-                args.concurrency,
-                args.proto.name(),
-                if offline.is_some() { ", verifying against offline" } else { "" }
-            );
-            let result = run_augment_load(&args, pipeline, &series, offline.as_ref(), policy)?;
-            eprintln!(
-                "augment load: {pipeline}: {:.0} req/s, {} errors, {} retries, {} reconnects",
-                result.requests as f64 / result.elapsed_s.max(1e-9),
-                result.errors,
-                result.retries,
-                result.reconnects
-            );
-            entries.push(result.to_value());
-        }
-        let server_stats = fetch_stats(&args.addr, args.proto, policy).unwrap_or(Value::Null);
-        let report = Value::Object(vec![
-            ("dataset".into(), Value::Str(meta.name.to_string())),
-            ("seed".into(), Value::Num(args.seed as f64)),
-            ("concurrency".into(), Value::Num(args.concurrency as f64)),
-            ("protocol".into(), Value::Str(args.proto.name().to_string())),
-            ("replicas".into(), Value::Num(args.replicas as f64)),
-            (
-                "verified_offline".into(),
-                Value::Bool(offline.is_some()),
-            ),
-            ("pipelines".into(), Value::Array(entries)),
-            ("server_stats".into(), server_stats),
-        ]);
-        let text = serde_json::to_string_pretty(&report).expect("value trees always serialise");
-        std::fs::write(&args.out, text + "\n").map_err(|e| format!("write {}: {e}", args.out))?;
-        println!("wrote {}", args.out);
-        return Ok(());
-    }
-
     if args.load {
         let meta = ALL_DATASETS
             .iter()
@@ -504,17 +393,40 @@ fn run() -> Result<(), String> {
         if series.is_empty() {
             return Err("dataset generated no test series".into());
         }
+        let offline = match &args.pipelines_file {
+            Some(path) if args.load_augment => Some(
+                PipelineRegistry::from_file(std::path::Path::new(path))
+                    .map_err(|e| format!("load {path}: {e}"))?,
+            ),
+            _ => None,
+        };
+        let (what, unit, targets) = if args.load_augment {
+            ("augment load", "pipeline", &args.pipelines)
+        } else {
+            ("load", "model", &args.models)
+        };
         let mut entries = Vec::new();
-        for model in &args.models {
+        for target in targets {
             eprintln!(
-                "load: model {model}, {} requests, concurrency {}, proto {}",
+                "{what}: {unit} {target}, {} requests, concurrency {}, proto {}{}",
                 args.requests,
                 args.concurrency,
-                args.proto.name()
+                args.proto.name(),
+                if offline.is_some() { ", verifying against offline" } else { "" }
             );
-            let result = run_load(&args, model, &series, policy)?;
+            let op = if args.load_augment {
+                let pipe = offline.as_ref().map(|reg| {
+                    reg.get(target)
+                        .cloned()
+                        .ok_or_else(|| format!("pipeline {target:?} not in --pipelines-file"))
+                });
+                LoadOp::Augment(pipe.transpose()?)
+            } else {
+                LoadOp::Predict
+            };
+            let result = run_load(&args, target, &op, &series, policy)?;
             eprintln!(
-                "load: {model}: {:.0} req/s, {} errors, {} retries, {} reconnects",
+                "{what}: {target}: {:.0} req/s, {} errors, {} retries, {} reconnects",
                 result.requests as f64 / result.elapsed_s.max(1e-9),
                 result.errors,
                 result.retries,
@@ -523,16 +435,20 @@ fn run() -> Result<(), String> {
             entries.push(result.to_value());
         }
         let server_stats = fetch_stats(&args.addr, args.proto, policy).unwrap_or(Value::Null);
-        let report = Value::Object(vec![
+        let mut report = vec![
             ("dataset".into(), Value::Str(meta.name.to_string())),
             ("seed".into(), Value::Num(args.seed as f64)),
             ("concurrency".into(), Value::Num(args.concurrency as f64)),
             ("protocol".into(), Value::Str(args.proto.name().to_string())),
             ("replicas".into(), Value::Num(args.replicas as f64)),
-            ("models".into(), Value::Array(entries)),
-            ("server_stats".into(), server_stats),
-        ]);
-        let text = serde_json::to_string_pretty(&report).expect("value trees always serialise");
+        ];
+        if args.load_augment {
+            report.push(("verified_offline".into(), Value::Bool(offline.is_some())));
+        }
+        report.push((format!("{unit}s"), Value::Array(entries)));
+        report.push(("server_stats".into(), server_stats));
+        let text = serde_json::to_string_pretty(&Value::Object(report))
+            .expect("value trees always serialise");
         std::fs::write(&args.out, text + "\n").map_err(|e| format!("write {}: {e}", args.out))?;
         println!("wrote {}", args.out);
         return Ok(());

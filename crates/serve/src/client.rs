@@ -120,11 +120,6 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Connect without timeouts (reads block indefinitely).
-    pub fn open(addr: &str) -> Result<Self, String> {
-        Self::open_with_timeout(addr, None)
-    }
-
     /// Connect; `timeout` bounds every read and write on the socket.
     pub fn open_with_timeout(addr: &str, timeout: Option<Duration>) -> Result<Self, String> {
         Self::open_proto(addr, timeout, Proto::Ndjson)
@@ -150,11 +145,6 @@ impl Conn {
                 .map_err(|e| format!("send preamble: {e}"))?;
         }
         Ok(conn)
-    }
-
-    /// The protocol this connection negotiated at connect time.
-    pub fn proto(&self) -> Proto {
-        self.proto
     }
 
     /// Send one line, read one reply line. Any error leaves the stream
@@ -386,11 +376,6 @@ impl RetryingClient {
         }
     }
 
-    /// The protocol this client speaks.
-    pub fn proto(&self) -> Proto {
-        self.proto
-    }
-
     /// Cumulative retry/reconnect counters.
     pub fn counters(&self) -> ClientCounters {
         self.counters
@@ -591,10 +576,17 @@ mod tests {
     /// `overloaded` hint — `is_shed()` covers both markers.
     #[test]
     fn throttled_retry_hint_floors_the_backoff() {
-        use crate::protocol::{overloaded_response, throttled_response};
-        for (marker, reply) in
-            [("throttled", throttled_response(1, 60)), ("overloaded", overloaded_response(1, 60))]
-        {
+        use crate::dispatch::Reply;
+        use crate::protocol::encode_reply_into;
+        let line = |reply: Reply| {
+            let mut out = String::new();
+            encode_reply_into(&mut out, &reply);
+            out
+        };
+        for (marker, reply) in [
+            ("throttled", line(Reply::Throttled { id: 1, retry_ms: 60 })),
+            ("overloaded", line(Reply::Overloaded { id: 1, retry_ms: 60 })),
+        ] {
             let (addr, server) = fake_server(vec![reply]);
             let policy = RetryPolicy {
                 max_attempts: 3,

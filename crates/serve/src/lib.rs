@@ -1,53 +1,44 @@
 //! `tsda-serve`: a std-only batched TCP inference server over the
-//! workspace's saved models.
+//! workspace's saved models and augmentation pipelines.
 //!
-//! The ROADMAP's north star is a system that serves prediction traffic,
-//! not a benchmark that trains and exits. This crate is that serving
-//! layer, built from four pieces:
+//! The server exposes both halves of the paper: the ROCKET /
+//! InceptionTime classifiers (`predict`) and the augmentation taxonomy
+//! as declarative pipelines (`augment`). Every request takes one path,
+//! whatever its op and wire protocol, and the router shares its first
+//! stage:
 //!
-//! * [`protocol`] — newline-delimited JSON over TCP. Predict payloads
-//!   carry series in the `.ts` data-line layout
-//!   (`tsda_datasets::ts_format::parse_series_line`), so the wire format
-//!   and archive IO share one parser.
-//! * [`registry`] — named models loaded at startup from
-//!   [`tsda_classify::persist`] files. The feature-based models are
-//!   served through their `&self` prediction paths (no locks);
-//!   InceptionTime sits behind a mutex because its forward pass caches
-//!   activations.
-//! * [`pipelines`] — named augmentation pipelines
-//!   ([`tsda_augment::declarative::AugPipeline`]) loaded at startup
-//!   from a TOML file and served through the `augment` op on both
-//!   protocols; results are bit-identical to offline execution because
-//!   every pipeline is a pure function of `(seed, sample index)`.
-//! * [`batcher`] — one worker thread per model running an adaptive
-//!   micro-batch loop: flush when `max_batch` requests are pending or
-//!   `max_wait` has elapsed since the first, then run a single batched
-//!   predict on the shared compute pool. Per-series predictions are
-//!   batch-composition independent, so served labels are bit-identical
-//!   to offline `Classifier::predict` (asserted by the smoke test).
-//! * [`server`] — the accept loop, connection handlers, stats counters,
-//!   and graceful shutdown via a flag the SIGTERM/ctrl-c handler
-//!   ([`signal`]) and tests both flip. Shutdown drains: accepted
-//!   requests are answered and queued jobs predicted before threads
-//!   exit.
-//! * [`faults`] — a seeded, deterministic fault-injection plan
-//!   (delayed/torn/dropped writes, corrupted request bytes, worker
-//!   stalls, load shedding) the chaos suites run the whole stack under.
-//! * [`client`] — connection + readiness probe + a retrying client
-//!   (capped exponential backoff with seeded jitter, per-request
-//!   timeouts, reconnect-and-replay) that survives every fault the
-//!   plan injects.
-//! * [`proto2`] — the length-prefixed, CRC-framed binary protocol v2,
-//!   negotiated per connection by a 4-byte preamble (NDJSON stays the
-//!   default), so the predict hot path decodes raw f64 bit patterns
-//!   instead of re-parsing text.
-//! * [`admission`] — per-client token-bucket quotas in front of the
-//!   batcher, refusing with `throttled` + `retry_ms` replies the
-//!   retrying client honours as backoff floors.
-//! * [`router`] — a frontend that spawns/fronts N replica servers with
-//!   per-model shard placement, least-loaded or rendezvous-hash
-//!   routing, ping health checks, and automatic restart of dead
-//!   replicas under load.
+//! 1. **Connection layer** (`conn`, crate-private) — one accept loop,
+//!    one protocol negotiation per connection (a 4-byte preamble
+//!    selects v2; anything else is NDJSON), one read/drain loop with
+//!    graceful shutdown, and one line/frame splitter over reused
+//!    per-connection scratch. The server and the [`router`] both run
+//!    it; they differ only in the handler they plug in.
+//! 2. **Codec** — [`protocol`] (newline-delimited JSON; series in the
+//!    `.ts` data-line layout, so the wire format and archive IO share
+//!    one parser) or [`proto2`] (length-prefixed, CRC-framed binary, so
+//!    the hot path decodes raw f64 bit patterns instead of re-parsing
+//!    text). Each decodes into the shared [`dispatch::Request`] and
+//!    encodes a [`dispatch::Reply`] with its `encode_reply_into`.
+//! 3. **Dispatch** ([`dispatch`]) — one core for both ops and both
+//!    codecs: series decode, the per-client token bucket
+//!    ([`admission`]), lookup and validation against the [`registry`]
+//!    of saved models, submit, and the wait for the answer. The
+//!    router's counterpart is its routing handler, which decodes only
+//!    the routing header and relays requests verbatim to replicas.
+//! 4. **Lane** ([`batcher`]) — one worker thread per model and per
+//!    [`pipelines`] entry, all running the same adaptive micro-batch
+//!    loop over a bounded job ring and a warm reply-ticket pool; a lane
+//!    differs only in its batch call. Per-series results are
+//!    batch-composition independent, so served labels and augment
+//!    outputs are bit-identical to offline execution (asserted by the
+//!    smoke and augment e2e tests).
+//!
+//! Around the path: [`stats`] counters for the `stats` op, [`faults`]
+//! (a seeded fault-injection plan the chaos suites run the whole stack
+//! under), [`signal`] (the SIGTERM/ctrl-c flag that drains a server),
+//! and [`client`] (connections, a readiness probe, and a retrying
+//! client with capped, jittered backoff that survives every fault the
+//! plan injects).
 //!
 //! Three binaries drive it: `tsda_serve` (train-or-load models, then
 //! serve; `--fault-seed` arms the plan), `tsda_router` (the replica
@@ -58,6 +49,8 @@
 pub mod admission;
 pub mod batcher;
 pub mod client;
+mod conn;
+pub mod dispatch;
 pub mod faults;
 pub mod pipelines;
 pub mod proto2;

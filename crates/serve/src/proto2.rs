@@ -38,11 +38,13 @@
 //! # Messages
 //!
 //! Requests: predict (id, model, series as `n_dims × len` f64 matrix),
-//! stats, list, ping. Replies: predict-ok (id, label, batch, micros),
-//! error (id, code, message, `retry_ms` backoff hint for shed /
-//! throttled refusals), result (id, JSON payload — stats and list reuse
-//! the v1 JSON schema; they are not hot).
+//! augment (id, pipeline, seed, index, series), stats, list, ping.
+//! Replies: predict-ok (id, label, batch, micros), augment-ok (id,
+//! batch, micros, series), error (id, code, message, `retry_ms` backoff
+//! hint for shed / throttled refusals), result (id, JSON payload — stats
+//! and list reuse the v1 JSON schema; they are not hot).
 
+use crate::dispatch::Reply;
 use crate::protocol::{Response, OVERLOADED, THROTTLED};
 use serde::Value;
 use tsda_core::codec::{crc32, ByteReader, ByteWriter};
@@ -117,63 +119,9 @@ impl ErrCode {
 }
 
 /// A decoded v2 request. Unlike the NDJSON [`crate::protocol::Request`],
-/// predict carries the series already materialised — the server never
+/// the series arrives already materialised — the server never
 /// text-parses on the v2 path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request2 {
-    /// Classify one series with the named model.
-    Predict {
-        /// Client correlation id, echoed in the reply.
-        id: u64,
-        /// Registry name of the target model.
-        model: String,
-        /// The series, decoded from raw f64 bit patterns.
-        series: Mts,
-    },
-    /// Server counters.
-    Stats {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Served-model listing.
-    List {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Liveness probe.
-    Ping {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Run one series through a named augmentation pipeline. The reply
-    /// carries the transformed series as raw f64 bit patterns, so the
-    /// round trip is bit-exact by construction.
-    Augment {
-        /// Correlation id.
-        id: u64,
-        /// Registry name of the target pipeline.
-        pipeline: String,
-        /// Master seed for the derived per-sample streams.
-        seed: u64,
-        /// Sample index within the seeded corpus.
-        index: u64,
-        /// The input series, decoded from raw f64 bit patterns.
-        series: Mts,
-    },
-}
-
-impl Request2 {
-    /// The correlation id of any request.
-    pub fn id(&self) -> u64 {
-        match self {
-            Self::Predict { id, .. }
-            | Self::Stats { id }
-            | Self::List { id }
-            | Self::Ping { id }
-            | Self::Augment { id, .. } => *id,
-        }
-    }
-}
+pub type Request2 = crate::dispatch::Request<Mts>;
 
 /// Wrap a message body into a full frame: length prefix + body + CRC.
 fn frame(body: Vec<u8>) -> Vec<u8> {
@@ -429,6 +377,29 @@ fn frame_into(out: &mut Vec<u8>, fill: impl FnOnce(&mut ByteWriter)) {
     *out = bytes;
 }
 
+/// Encode one reply frame into a reused buffer. Shed and throttled
+/// refusals carry their canonical marker string as the message.
+pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Reply) {
+    match reply {
+        Reply::Predict { id, label, batch, micros, .. } => {
+            encode_reply_predict_into(out, *id, *label as u64, *batch as u32, *micros)
+        }
+        Reply::Augment { id, series, batch, micros, .. } => {
+            encode_reply_augment_into(out, *id, series, *batch as u32, *micros)
+        }
+        Reply::Result { id, value } => encode_reply_result_into(out, *id, value),
+        Reply::Error { id, message } => {
+            encode_reply_error_into(out, *id, ErrCode::Error, message, 0)
+        }
+        Reply::Overloaded { id, retry_ms } => {
+            encode_reply_error_into(out, *id, ErrCode::Overloaded, OVERLOADED, *retry_ms)
+        }
+        Reply::Throttled { id, retry_ms } => {
+            encode_reply_error_into(out, *id, ErrCode::Throttled, THROTTLED, *retry_ms)
+        }
+    }
+}
+
 /// Encode a successful predict reply into a reused buffer.
 pub fn encode_reply_predict_into(out: &mut Vec<u8>, id: u64, label: u64, batch: u32, micros: u64) {
     frame_into(out, |w| {
@@ -438,13 +409,6 @@ pub fn encode_reply_predict_into(out: &mut Vec<u8>, id: u64, label: u64, batch: 
         w.u32(batch);
         w.u64(micros);
     });
-}
-
-/// Encode a successful predict reply.
-pub fn encode_reply_predict(id: u64, label: u64, batch: u32, micros: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_predict_into(&mut out, id, label, batch, micros);
-    out
 }
 
 /// Encode a successful augment reply into a reused buffer: the
@@ -464,16 +428,9 @@ pub fn encode_reply_augment_into(out: &mut Vec<u8>, id: u64, series: &Mts, batch
     });
 }
 
-/// Encode a successful augment reply.
-pub fn encode_reply_augment(id: u64, series: &Mts, batch: u32, micros: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_augment_into(&mut out, id, series, batch, micros);
-    out
-}
-
 /// Encode an error reply into a reused buffer. `retry_ms` is meaningful
 /// for [`ErrCode::Overloaded`] / [`ErrCode::Throttled`] (0 otherwise).
-pub fn encode_reply_error_into(
+fn encode_reply_error_into(
     out: &mut Vec<u8>,
     id: u64,
     code: ErrCode,
@@ -489,17 +446,10 @@ pub fn encode_reply_error_into(
     });
 }
 
-/// Encode an error reply.
-pub fn encode_reply_error(id: u64, code: ErrCode, message: &str, retry_ms: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_error_into(&mut out, id, code, message, retry_ms);
-    out
-}
-
 /// Encode a result reply (stats / list) into a reused buffer. The
 /// payload reuses the JSON value tree — these ops are observability,
 /// not the hot path.
-pub fn encode_reply_result_into(out: &mut Vec<u8>, id: u64, value: &Value) {
+fn encode_reply_result_into(out: &mut Vec<u8>, id: u64, value: &Value) {
     frame_into(out, |w| {
         w.u8(REPLY_RESULT);
         w.u64(id);
@@ -507,13 +457,6 @@ pub fn encode_reply_result_into(out: &mut Vec<u8>, id: u64, value: &Value) {
         // fallback if that invariant ever breaks.
         w.string(&serde_json::to_string(value).unwrap_or_else(|_| "{}".to_string()));
     });
-}
-
-/// Encode a result reply (stats / list).
-pub fn encode_reply_result(id: u64, value: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_reply_result_into(&mut out, id, value);
-    out
 }
 
 /// Decode one reply body (CRC already checked) into the shared
@@ -644,25 +587,26 @@ mod tests {
 
     #[test]
     fn replies_round_trip_with_canonical_shed_markers() {
-        let mut buf = encode_reply_predict(7, 3, 16, 812);
+        let mut buf = encoded(|o| encode_reply_predict_into(o, 7, 3, 16, 812));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.ok);
         assert_eq!((r.id, r.label, r.batch, r.micros), (7, Some(3), Some(16), Some(812)));
 
-        let mut buf = encode_reply_error(9, ErrCode::Overloaded, "queue full", 25);
+        let mut buf =
+            encoded(|o| encode_reply_error_into(o, 9, ErrCode::Overloaded, "queue full", 25));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.is_overloaded());
         assert_eq!(r.retry_ms, Some(25));
 
-        let mut buf = encode_reply_error(9, ErrCode::Throttled, "quota", 40);
+        let mut buf = encoded(|o| encode_reply_error_into(o, 9, ErrCode::Throttled, "quota", 40));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.is_throttled() && !r.is_overloaded());
         assert_eq!(r.retry_ms, Some(40));
 
-        let mut buf = encode_reply_error(9, ErrCode::Error, "bad series", 0);
+        let mut buf = encoded(|o| encode_reply_error_into(o, 9, ErrCode::Error, "bad series", 0));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(!r.ok && r.retry_ms.is_none());
@@ -761,7 +705,7 @@ mod tests {
         };
         assert_ne!(key, key2);
 
-        let mut buf = encode_reply_augment(21, &series(), 4, 55);
+        let mut buf = encoded(|o| encode_reply_augment_into(o, 21, &series(), 4, 55));
         let raw = take_frame(&mut buf).unwrap().unwrap();
         let r = decode_reply(check_frame(&raw).unwrap()).unwrap();
         assert!(r.ok);
@@ -809,6 +753,155 @@ mod tests {
         let err = decode_request(check_frame(&raw).unwrap()).unwrap_err();
         assert_eq!(err.0, 1);
         assert!(err.1.contains("unread"), "{}", err.1);
+    }
+
+    /// Encode through a fresh buffer (the fixtures pin each frame alone).
+    fn encoded(f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
+
+    /// The wire contract for replies: one byte-literal fixture per reply
+    /// kind and per error code. Layout: `u32 len | kind | u64 id | … |
+    /// u32 crc`, all little-endian.
+    #[test]
+    fn reply_frames_match_the_byte_fixtures() {
+        let small = Mts::from_flat(1, 2, vec![1.0, -0.5]);
+        let fixtures: [(Vec<u8>, &[u8]); 6] = [
+            (encoded(|o| encode_reply_predict_into(o, 7, 3, 16, 812)), &[
+                0x21, 0, 0, 0, 0x81, 7, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                3, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0x2c, 3, 0, 0, 0, 0, 0, 0, // label, batch, micros
+                0x4d, 0x5f, 0xb8, 0xbd, // crc
+            ]),
+            (encoded(|o| encode_reply_augment_into(o, 21, &small, 4, 55)), &[
+                0x31, 0, 0, 0, 0x84, 21, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                4, 0, 0, 0, 55, 0, 0, 0, 0, 0, 0, 0, // batch, micros
+                1, 0, 0, 0, 2, 0, 0, 0, // n_dims, len
+                0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf, // 1.0, -0.5
+                0x96, 0x41, 0x66, 0x75, // crc
+            ]),
+            (encoded(|o| encode_reply_error_into(o, 9, ErrCode::Error, "bad series", 0)), &[
+                0x24, 0, 0, 0, 0x82, 9, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                0, 0, 0, 0, 0, 0, 0, 0, 0, // code, retry_ms
+                10, 0, 0, 0, b'b', b'a', b'd', b' ', b's', b'e', b'r', b'i', b'e', b's',
+                0xcb, 0x2d, 0x2f, 0xee, // crc
+            ]),
+            (
+                encoded(|o| encode_reply_error_into(o, 9, ErrCode::Overloaded, "overloaded", 25)),
+                &[
+                    0x24, 0, 0, 0, 0x82, 9, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                    1, 25, 0, 0, 0, 0, 0, 0, 0, // code, retry_ms
+                    10, 0, 0, 0, b'o', b'v', b'e', b'r', b'l', b'o', b'a', b'd', b'e', b'd',
+                    0x9c, 0xd5, 0xe8, 0x46, // crc
+                ],
+            ),
+            (
+                encoded(|o| encode_reply_error_into(o, 9, ErrCode::Throttled, "throttled", 40)),
+                &[
+                    0x23, 0, 0, 0, 0x82, 9, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                    2, 40, 0, 0, 0, 0, 0, 0, 0, // code, retry_ms
+                    9, 0, 0, 0, b't', b'h', b'r', b'o', b't', b't', b'l', b'e', b'd',
+                    0x20, 0x32, 0x9c, 0xa2, // crc
+                ],
+            ),
+            (encoded(|o| encode_reply_result_into(o, 3, &Value::Str("pong".into()))), &[
+                0x17, 0, 0, 0, 0x83, 3, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                6, 0, 0, 0, b'"', b'p', b'o', b'n', b'g', b'"', // JSON payload
+                0xba, 0xc3, 0xb1, 0x69, // crc
+            ]),
+        ];
+        for (i, (got, want)) in fixtures.iter().enumerate() {
+            assert_eq!(got.as_slice(), *want, "reply fixture {i}");
+        }
+    }
+
+    /// `encode_reply_into` renders every reply through the encoder the
+    /// byte fixtures pin; shed refusals carry the canonical markers.
+    #[test]
+    fn encode_reply_into_uses_the_pinned_encoder_for_every_reply() {
+        let small = Mts::from_flat(1, 2, vec![1.0, -0.5]);
+        let pong = Value::Str("pong".into());
+        let cases = [
+            (
+                Reply::Predict { id: 7, model: "rocket".into(), label: 3, batch: 16, micros: 812 },
+                encoded(|o| encode_reply_predict_into(o, 7, 3, 16, 812)),
+            ),
+            (
+                Reply::Augment {
+                    id: 21,
+                    pipeline: "light".into(),
+                    series: small.clone(),
+                    batch: 4,
+                    micros: 55,
+                },
+                encoded(|o| encode_reply_augment_into(o, 21, &small, 4, 55)),
+            ),
+            (
+                Reply::Result { id: 3, value: pong.clone() },
+                encoded(|o| encode_reply_result_into(o, 3, &pong)),
+            ),
+            (
+                Reply::Error { id: 9, message: "bad series".into() },
+                encoded(|o| encode_reply_error_into(o, 9, ErrCode::Error, "bad series", 0)),
+            ),
+            (
+                Reply::Overloaded { id: 9, retry_ms: 25 },
+                encoded(|o| encode_reply_error_into(o, 9, ErrCode::Overloaded, "overloaded", 25)),
+            ),
+            (
+                Reply::Throttled { id: 9, retry_ms: 40 },
+                encoded(|o| encode_reply_error_into(o, 9, ErrCode::Throttled, "throttled", 40)),
+            ),
+        ];
+        for (reply, want) in cases {
+            assert_eq!(encoded(|o| encode_reply_into(o, &reply)), want, "{reply:?}");
+        }
+    }
+
+    /// The wire contract for requests: one fixture per kind. The model
+    /// name carries JSON metacharacters, which v2 must ship as raw bytes.
+    #[test]
+    fn request_frames_match_the_byte_fixtures() {
+        let small = Mts::from_flat(1, 2, vec![1.0, -0.5]);
+        let fixtures: [(Request2, &[u8]); 5] = [
+            (Request2::Predict { id: 42, model: "r\"k\\".into(), series: small.clone() }, &[
+                0x2d, 0, 0, 0, 0x01, 42, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                4, 0, 0, 0, b'r', b'"', b'k', b'\\', // model
+                1, 0, 0, 0, 2, 0, 0, 0, // n_dims, len
+                0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf, // 1.0, -0.5
+                0x43, 0xb8, 0x53, 0x6f, // crc
+            ]),
+            (Request2::Stats { id: 1 }, &[
+                0x0d, 0, 0, 0, 0x02, 1, 0, 0, 0, 0, 0, 0, 0, 0xb6, 0x3c, 0x55, 0x04,
+            ]),
+            (Request2::List { id: 2 }, &[
+                0x0d, 0, 0, 0, 0x03, 2, 0, 0, 0, 0, 0, 0, 0, 0x16, 0x2f, 0xa1, 0x9d,
+            ]),
+            (Request2::Ping { id: 3 }, &[
+                0x0d, 0, 0, 0, 0x04, 3, 0, 0, 0, 0, 0, 0, 0, 0x41, 0x42, 0x6a, 0x35,
+            ]),
+            (
+                Request2::Augment {
+                    id: 21,
+                    pipeline: "light".into(),
+                    seed: 7,
+                    index: 3,
+                    series: small,
+                },
+                &[
+                    0x3e, 0, 0, 0, 0x05, 21, 0, 0, 0, 0, 0, 0, 0, // len, kind, id
+                    5, 0, 0, 0, b'l', b'i', b'g', b'h', b't', // pipeline
+                    7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, // seed, index
+                    1, 0, 0, 0, 2, 0, 0, 0, // n_dims, len
+                    0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0xe0, 0xbf, // 1.0, -0.5
+                    0xc3, 0xd8, 0x4a, 0x7e, // crc
+                ],
+            ),
+        ];
+        for (req, want) in &fixtures {
+            assert_eq!(encode_request(req).as_slice(), *want, "request fixture {req:?}");
+        }
     }
 
     #[test]

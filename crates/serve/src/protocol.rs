@@ -24,69 +24,14 @@
 //! Parsing is hand-rolled over the vendored JSON value tree so missing
 //! or mistyped fields produce error *responses*, never panics.
 
+use crate::dispatch::Reply;
 use serde::Value;
 use tsda_core::{Mts, TsdaError};
 use tsda_datasets::ts_format::parse_series_line;
 
-/// A parsed client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Classify one series with the named model.
-    Predict {
-        /// Client-chosen correlation id, echoed in the response.
-        id: u64,
-        /// Registry name of the target model.
-        model: String,
-        /// The series, `.ts` data-line encoded.
-        series: String,
-    },
-    /// Server-side counters (uptime, throughput, latency, batch sizes).
-    Stats {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Names + input shapes of every served model.
-    List {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Liveness probe.
-    Ping {
-        /// Correlation id.
-        id: u64,
-    },
-    /// Run one series through a named augmentation pipeline.
-    ///
-    /// The reply series is bit-identical to offline
-    /// `AugPipeline::apply_one(series, seed, index)` — `(seed, index)`
-    /// fully determine every stochastic choice, so any replica returns
-    /// the same bytes.
-    Augment {
-        /// Correlation id.
-        id: u64,
-        /// Registry name of the target pipeline.
-        pipeline: String,
-        /// Master seed for the derived per-sample streams.
-        seed: u64,
-        /// Sample index within the seeded corpus.
-        index: u64,
-        /// The input series, `.ts` data-line encoded.
-        series: String,
-    },
-}
-
-impl Request {
-    /// The correlation id of any request.
-    pub fn id(&self) -> u64 {
-        match self {
-            Self::Predict { id, .. }
-            | Self::Stats { id }
-            | Self::List { id }
-            | Self::Ping { id }
-            | Self::Augment { id, .. } => *id,
-        }
-    }
-}
+/// A parsed client request; the series is still `.ts` text (decoded by
+/// [`decode_series`] in the dispatch).
+pub type Request = crate::dispatch::Request<String>;
 
 fn field_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key).and_then(Value::as_f64).map(|n| n as u64)
@@ -161,12 +106,28 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// The response builders come in pairs: an `_into` form appending to a
-// caller-owned buffer — the connection loop reuses one String per
-// connection, so a warm connection answers without allocating for the
-// envelope — and an owned form delegating to it. The JSON is written
-// directly (same key order, same escaping, integer-printed counters)
-// and is byte-identical to what the old Value-tree path produced.
+// The response builders append to a caller-owned buffer — the
+// connection loop reuses one String per connection, so a warm
+// connection answers without allocating for the envelope. The JSON is
+// written directly (same key order, same escaping, integer-printed
+// counters) and is byte-identical to what the old Value-tree path
+// produced; the byte fixtures in the tests pin every reply kind.
+
+/// Append the NDJSON line (no trailing newline) for one reply.
+pub fn encode_reply_into(out: &mut String, reply: &Reply) {
+    match reply {
+        Reply::Predict { id, model, label, batch, micros } => {
+            predict_response_into(out, *id, model, *label, *batch, *micros)
+        }
+        Reply::Augment { id, pipeline, series, batch, micros } => {
+            augment_response_into(out, *id, pipeline, series, *batch, *micros)
+        }
+        Reply::Result { id, value } => result_response_into(out, *id, value),
+        Reply::Error { id, message } => error_response_into(out, *id, message),
+        Reply::Overloaded { id, retry_ms } => overloaded_response_into(out, *id, *retry_ms),
+        Reply::Throttled { id, retry_ms } => throttled_response_into(out, *id, *retry_ms),
+    }
+}
 
 /// Successful predict response, appended to `out`.
 pub fn predict_response_into(
@@ -181,13 +142,6 @@ pub fn predict_response_into(
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"model\":");
     push_json_str(out, model);
     let _ = write!(out, ",\"label\":{label},\"batch\":{batch},\"micros\":{micros}}}");
-}
-
-/// Successful predict response.
-pub fn predict_response(id: u64, model: &str, label: usize, batch: usize, micros: u64) -> String {
-    let mut out = String::new();
-    predict_response_into(&mut out, id, model, label, batch, micros);
-    out
 }
 
 /// Successful augment response, appended to `out`. The series is `.ts`
@@ -210,33 +164,20 @@ pub fn augment_response_into(
     let _ = write!(out, ",\"batch\":{batch},\"micros\":{micros}}}");
 }
 
-/// Successful augment response.
-pub fn augment_response(id: u64, pipeline: &str, series: &Mts, batch: usize, micros: u64) -> String {
-    let mut out = String::new();
-    augment_response_into(&mut out, id, pipeline, series, batch, micros);
-    out
-}
-
 /// Error response for any request, appended to `out`.
-pub fn error_response_into(out: &mut String, id: u64, message: &str) {
+fn error_response_into(out: &mut String, id: u64, message: &str) {
     use std::fmt::Write;
     let _ = write!(out, "{{\"id\":{id},\"ok\":false,\"error\":");
     push_json_str(out, message);
     out.push('}');
 }
 
-/// Error response for any request.
-pub fn error_response(id: u64, message: &str) -> String {
-    let mut out = String::new();
-    error_response_into(&mut out, id, message);
-    out
-}
-
 /// The marker error string in load-shedding replies.
 pub const OVERLOADED: &str = "overloaded";
 
-/// Load-shedding reply, appended to `out`.
-pub fn overloaded_response_into(out: &mut String, id: u64, retry_ms: u64) {
+/// Load-shedding reply: the queue is full (or the fault plan sheds);
+/// the client should back off roughly `retry_ms` and retry.
+fn overloaded_response_into(out: &mut String, id: u64, retry_ms: u64) {
     use std::fmt::Write;
     let _ = write!(
         out,
@@ -244,19 +185,12 @@ pub fn overloaded_response_into(out: &mut String, id: u64, retry_ms: u64) {
     );
 }
 
-/// Load-shedding reply: the queue is full (or the fault plan sheds);
-/// the client should back off roughly `retry_ms` and retry.
-pub fn overloaded_response(id: u64, retry_ms: u64) -> String {
-    let mut out = String::new();
-    overloaded_response_into(&mut out, id, retry_ms);
-    out
-}
-
 /// The marker error string in admission-control refusals.
 pub const THROTTLED: &str = "throttled";
 
-/// Admission-control refusal, appended to `out`.
-pub fn throttled_response_into(out: &mut String, id: u64, retry_ms: u64) {
+/// Admission-control refusal: the client's token bucket is empty; one
+/// token refills in roughly `retry_ms`.
+fn throttled_response_into(out: &mut String, id: u64, retry_ms: u64) {
     use std::fmt::Write;
     let _ = write!(
         out,
@@ -264,28 +198,12 @@ pub fn throttled_response_into(out: &mut String, id: u64, retry_ms: u64) {
     );
 }
 
-/// Admission-control refusal: the client's token bucket is empty; one
-/// token refills in roughly `retry_ms`.
-pub fn throttled_response(id: u64, retry_ms: u64) -> String {
-    let mut out = String::new();
-    throttled_response_into(&mut out, id, retry_ms);
-    out
-}
-
-/// Generic success response wrapping a payload under `"result"`,
-/// appended to `out`.
-pub fn result_response_into(out: &mut String, id: u64, result: &Value) {
+/// Generic success response wrapping a payload under `"result"`.
+fn result_response_into(out: &mut String, id: u64, result: &Value) {
     use std::fmt::Write;
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"result\":");
     serde_json::append_to_string(result, out);
     out.push('}');
-}
-
-/// Generic success response wrapping a payload under `"result"`.
-pub fn result_response(id: u64, result: Value) -> String {
-    let mut out = String::new();
-    result_response_into(&mut out, id, &result);
-    out
 }
 
 /// A parsed server response, as seen by clients.
@@ -359,6 +277,13 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 mod tests {
     use super::*;
 
+    /// What one `_into` encoder appends to an empty line.
+    fn encoded(f: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        f(&mut out);
+        out
+    }
+
     #[test]
     fn predict_request_round_trip() {
         let r = parse_request(r#"{"id":7,"op":"predict","model":"rocket","series":"1,2:3,4"}"#)
@@ -384,36 +309,36 @@ mod tests {
 
     #[test]
     fn responses_parse_back() {
-        let line = predict_response(5, "rocket", 2, 8, 1234);
+        let line = encoded(|o| predict_response_into(o, 5, "rocket", 2, 8, 1234));
         let r = parse_response(&line).unwrap();
         assert!(r.ok);
         assert_eq!((r.id, r.label, r.batch, r.micros), (5, Some(2), Some(8), Some(1234)));
-        let e = parse_response(&error_response(6, "nope")).unwrap();
+        let e = parse_response(&encoded(|o| error_response_into(o, 6, "nope"))).unwrap();
         assert!(!e.ok);
         assert_eq!(e.error.as_deref(), Some("nope"));
     }
 
     #[test]
     fn overloaded_response_round_trips_the_retry_hint() {
-        let line = overloaded_response(12, 25);
+        let line = encoded(|o| overloaded_response_into(o, 12, 25));
         let r = parse_response(&line).unwrap();
         assert!(!r.ok);
         assert!(r.is_overloaded());
         assert_eq!((r.id, r.retry_ms), (12, Some(25)));
         // Non-overloaded errors do not claim to be shedding.
-        let e = parse_response(&error_response(3, "bad series")).unwrap();
+        let e = parse_response(&encoded(|o| error_response_into(o, 3, "bad series"))).unwrap();
         assert!(!e.is_overloaded());
         assert_eq!(e.retry_ms, None);
     }
 
     #[test]
     fn throttled_response_round_trips_and_is_shed() {
-        let r = parse_response(&throttled_response(4, 120)).unwrap();
+        let r = parse_response(&encoded(|o| throttled_response_into(o, 4, 120))).unwrap();
         assert!(r.is_throttled() && r.is_shed() && !r.is_overloaded());
         assert_eq!((r.id, r.retry_ms), (4, Some(120)));
-        let o = parse_response(&overloaded_response(5, 20)).unwrap();
+        let o = parse_response(&encoded(|o| overloaded_response_into(o, 5, 20))).unwrap();
         assert!(o.is_shed() && !o.is_throttled());
-        let e = parse_response(&error_response(6, "nope")).unwrap();
+        let e = parse_response(&encoded(|o| error_response_into(o, 6, "nope"))).unwrap();
         assert!(!e.is_shed());
     }
 
@@ -434,7 +359,8 @@ mod tests {
             }
         );
         let s = Mts::from_dims(vec![vec![0.25, -1.5, 3.0e-7], vec![0.1 + 0.2, 1.0, -0.0]]);
-        let resp = parse_response(&augment_response(8, "light", &s, 4, 99)).unwrap();
+        let line = encoded(|o| augment_response_into(o, 8, "light", &s, 4, 99));
+        let resp = parse_response(&line).unwrap();
         assert!(resp.ok);
         assert_eq!(resp.series.as_ref(), Some(&s), "text hop must be bit-exact");
         assert_eq!((resp.batch, resp.micros), (Some(4), Some(99)));
@@ -448,6 +374,94 @@ mod tests {
     fn series_decode_rejects_garbage() {
         assert!(decode_series("1,zzz").is_err());
         assert!(decode_series("").is_err());
+    }
+
+    /// The wire contract: one byte-literal fixture per reply kind. Any
+    /// change to an encoder that moves a byte fails here.
+    #[test]
+    fn reply_lines_match_the_byte_fixtures() {
+        let encode = |f: &dyn Fn(&mut String)| {
+            let mut out = String::new();
+            f(&mut out);
+            out
+        };
+        let series = Mts::from_dims(vec![vec![0.25, -1.5], vec![3.0e-7, 1.0]]);
+        let payload = Value::Object(vec![
+            ("names".into(), Value::Array(vec![Value::Str("a\tb".into()), Value::Null])),
+            ("n".into(), Value::Num(3.5)),
+        ]);
+        let fixtures: [(String, &str); 6] = [
+            (
+                encode(&|o| predict_response_into(o, 5, "ro\"ck\\et\n\u{1}", 2, 8, 1234)),
+                r#"{"id":5,"ok":true,"model":"ro\"ck\\et\n\u0001","label":2,"batch":8,"micros":1234}"#,
+            ),
+            (
+                encode(&|o| augment_response_into(o, 8, "light", &series, 4, 99)),
+                r#"{"id":8,"ok":true,"pipeline":"light","series":"0.25,-1.5:0.0000003,1","batch":4,"micros":99}"#,
+            ),
+            (
+                encode(&|o| error_response_into(o, 6, "unknown model \"x\"\t")),
+                r#"{"id":6,"ok":false,"error":"unknown model \"x\"\t"}"#,
+            ),
+            (
+                encode(&|o| overloaded_response_into(o, 12, 25)),
+                r#"{"id":12,"ok":false,"error":"overloaded","retry_ms":25}"#,
+            ),
+            (
+                encode(&|o| throttled_response_into(o, 4, 120)),
+                r#"{"id":4,"ok":false,"error":"throttled","retry_ms":120}"#,
+            ),
+            (
+                encode(&|o| result_response_into(o, 9, &payload)),
+                r#"{"id":9,"ok":true,"result":{"names":["a\tb",null],"n":3.5}}"#,
+            ),
+        ];
+        for (got, want) in fixtures {
+            assert_eq!(got, want);
+        }
+    }
+
+    /// `encode_reply_into` renders every reply through the builder the
+    /// byte fixtures above pin.
+    #[test]
+    fn encode_reply_into_uses_the_pinned_builder_for_every_reply() {
+        let s = Mts::from_dims(vec![vec![0.25, -1.5], vec![3.0e-7, 1.0]]);
+        let pong = Value::Str("pong".into());
+        let cases = [
+            (
+                Reply::Predict { id: 5, model: "rocket".into(), label: 2, batch: 8, micros: 1234 },
+                encoded(|o| predict_response_into(o, 5, "rocket", 2, 8, 1234)),
+            ),
+            (
+                Reply::Augment {
+                    id: 8,
+                    pipeline: "light".into(),
+                    series: s.clone(),
+                    batch: 4,
+                    micros: 99,
+                },
+                encoded(|o| augment_response_into(o, 8, "light", &s, 4, 99)),
+            ),
+            (
+                Reply::Result { id: 9, value: pong.clone() },
+                encoded(|o| result_response_into(o, 9, &pong)),
+            ),
+            (
+                Reply::Error { id: 6, message: "nope".into() },
+                encoded(|o| error_response_into(o, 6, "nope")),
+            ),
+            (
+                Reply::Overloaded { id: 12, retry_ms: 25 },
+                encoded(|o| overloaded_response_into(o, 12, 25)),
+            ),
+            (
+                Reply::Throttled { id: 4, retry_ms: 120 },
+                encoded(|o| throttled_response_into(o, 4, 120)),
+            ),
+        ];
+        for (reply, want) in cases {
+            assert_eq!(encoded(|o| encode_reply_into(o, &reply)), want, "{reply:?}");
+        }
     }
 
     #[test]
@@ -465,7 +479,7 @@ mod tests {
             ("micros".into(), Value::Num(1234.0)),
         ]))
         .unwrap();
-        assert_eq!(predict_response(5, tricky, 2, 8, 1234), want);
+        assert_eq!(encoded(|o| predict_response_into(o, 5, tricky, 2, 8, 1234)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(0.0)),
@@ -473,7 +487,7 @@ mod tests {
             ("error".into(), Value::Str(tricky.into())),
         ]))
         .unwrap();
-        assert_eq!(error_response(0, tricky), want);
+        assert_eq!(encoded(|o| error_response_into(o, 0, tricky)), want);
 
         let payload = Value::Object(vec![
             ("names".into(), Value::Array(vec![Value::Str("a\tb".into()), Value::Null])),
@@ -485,7 +499,7 @@ mod tests {
             ("result".into(), payload.clone()),
         ]))
         .unwrap();
-        assert_eq!(result_response(9, payload), want);
+        assert_eq!(encoded(|o| result_response_into(o, 9, &payload)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(12.0)),
@@ -494,7 +508,7 @@ mod tests {
             ("retry_ms".into(), Value::Num(25.0)),
         ]))
         .unwrap();
-        assert_eq!(overloaded_response(12, 25), want);
+        assert_eq!(encoded(|o| overloaded_response_into(o, 12, 25)), want);
 
         let s = Mts::from_dims(vec![vec![0.25, -1.5], vec![3.0e-7, 1.0]]);
         let want = serde_json::to_string(&Value::Object(vec![
@@ -509,7 +523,7 @@ mod tests {
             ("micros".into(), Value::Num(99.0)),
         ]))
         .unwrap();
-        assert_eq!(augment_response(8, "light", &s, 4, 99), want);
+        assert_eq!(encoded(|o| augment_response_into(o, 8, "light", &s, 4, 99)), want);
 
         let want = serde_json::to_string(&Value::Object(vec![
             ("id".into(), Value::Num(4.0)),
@@ -518,6 +532,6 @@ mod tests {
             ("retry_ms".into(), Value::Num(120.0)),
         ]))
         .unwrap();
-        assert_eq!(throttled_response(4, 120), want);
+        assert_eq!(encoded(|o| throttled_response_into(o, 4, 120)), want);
     }
 }

@@ -128,21 +128,14 @@ impl ModelEntry {
         Ok(())
     }
 
-    /// Run one batched prediction. All series must already satisfy
-    /// [`Self::validate`]; the batch shares a single transform/forward
-    /// pass on the compute pool. Per-series results are independent of
-    /// the batch composition, so each label is bit-identical to what
-    /// offline `Classifier::predict` returns for that series alone.
-    pub fn predict_batch(&self, series: &[Mts]) -> Result<Vec<Label>, TsdaError> {
-        let mut out = Vec::new();
-        self.predict_batch_into(series, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::predict_batch`] writing into a caller-owned label
-    /// buffer, so a batch worker's steady state reuses one allocation
-    /// across batches. `out` is cleared first and holds exactly
-    /// `series.len()` labels on success.
+    /// Run one batched prediction into a caller-owned label buffer, so
+    /// a batch worker's steady state reuses one allocation across
+    /// batches. All series must already satisfy [`Self::validate`]; the
+    /// batch shares a single transform/forward pass on the compute pool.
+    /// Per-series results are independent of the batch composition, so
+    /// each label is bit-identical to what offline
+    /// `Classifier::predict` returns for that series alone. `out` is
+    /// cleared first and holds exactly `series.len()` labels on success.
     pub fn predict_batch_into(
         &self,
         series: &[Mts],
@@ -281,7 +274,8 @@ mod tests {
         assert!(entry.validate(&Mts::zeros(1, 24)).is_ok());
         assert!(entry.validate(&Mts::zeros(2, 24)).is_err());
         assert!(entry.validate(&Mts::zeros(1, 23)).is_err());
-        let served = entry.predict_batch(test.series()).unwrap();
+        let mut served = Vec::new();
+        entry.predict_batch_into(test.series(), &mut served).unwrap();
         assert_eq!(served, offline);
     }
 

@@ -2,8 +2,9 @@
 //! replica `tsda_serve` processes.
 //!
 //! The router owns no models. It accepts client connections on one
-//! address, speaks both wire protocols (same first-byte negotiation as
-//! [`crate::server`]), and forwards predict traffic to backend replicas
+//! address, speaks both wire protocols (through the connection layer
+//! it shares with [`crate::server`]), and forwards predict and augment
+//! traffic to backend replicas
 //! *verbatim* — a v2 frame is relayed as the same bytes it arrived in
 //! (see [`proto2::reframe`]), an NDJSON line as the same line — so the
 //! router never re-encodes payloads and adds only a routing-header
@@ -47,13 +48,13 @@
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::client::{wait_ready, Proto};
-use crate::proto2;
-use crate::protocol::{
-    error_response, parse_request, result_response, throttled_response, Request,
-};
+use crate::conn::{self, Handler};
+use crate::dispatch::{Reply, Request};
+use crate::proto2::{self, Routing};
+use crate::protocol;
 use serde::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -398,11 +399,6 @@ impl RouterHandle {
         self.addr
     }
 
-    /// Current address of replica `index` (changes across restarts).
-    pub fn replica_addr(&self, index: usize) -> Option<String> {
-        self.ctx.replicas.get(index).map(Replica::current_addr)
-    }
-
     /// Total restarts across the fleet.
     pub fn restarts_total(&self) -> u64 {
         self.ctx
@@ -541,7 +537,18 @@ impl Router {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("tsda-router-accept".into())
-                .spawn(move || router_accept_loop(&listener, &ctx, &shutdown))
+                .spawn(move || {
+                    let (conn_ctx, conn_shutdown) = (Arc::clone(&ctx), Arc::clone(&shutdown));
+                    conn::accept_loop(&listener, &shutdown, "tsda-router-conn", move |stream| {
+                        let mut conn = RouterConn {
+                            ctx: &conn_ctx,
+                            peer: conn::peer_ip(&stream),
+                            lines: BackendPool::new(Proto::Ndjson),
+                            frames: BackendPool::new(Proto::V2),
+                        };
+                        conn::serve_conn(stream, &mut conn, &conn_shutdown, None);
+                    });
+                })
                 .map_err(|e| TsdaError::InvalidParameter(format!("spawn accept thread: {e}")))?
         };
 
@@ -671,313 +678,113 @@ fn check_replica(replica: &Replica, shutdown: &AtomicBool, ready_secs: u64) {
     }
 }
 
-/// Accept loop for the frontend (mirrors the server's).
-fn router_accept_loop(listener: &TcpListener, ctx: &Arc<RouterCtx>, shutdown: &Arc<AtomicBool>) {
-    let mut conn_threads = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                let ctx = Arc::clone(ctx);
-                let shutdown = Arc::clone(shutdown);
-                if let Ok(t) = std::thread::Builder::new()
-                    .name("tsda-router-conn".into())
-                    .spawn(move || handle_router_connection(stream, &ctx, &shutdown))
-                {
-                    conn_threads.push(t);
-                }
-                conn_threads.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
+/// One frontend connection: the fleet it routes over, the client's
+/// admission key, and its pooled backend sockets for each protocol.
+struct RouterConn<'a> {
+    ctx: &'a RouterCtx,
+    peer: String,
+    lines: BackendPool,
+    frames: BackendPool,
 }
 
-/// The wire protocol a frontend connection settled on.
-enum Mode {
-    Undecided,
-    Ndjson,
-    V2,
-}
-
-/// One frontend connection: negotiate, then route request-by-request.
-/// Same read-timeout poll and shutdown drain as the server's handler.
-fn handle_router_connection(stream: TcpStream, ctx: &RouterCtx, shutdown: &AtomicBool) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    if reader.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
-    }
-    let mut writer = stream;
-    let mut buf = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let mut mode = Mode::Undecided;
-    let mut lines_pool = BackendPool::new(Proto::Ndjson);
-    let mut frames_pool = BackendPool::new(Proto::V2);
-    loop {
-        // Negotiation: identical first-byte rule to the server.
-        if matches!(mode, Mode::Undecided) && !buf.is_empty() {
-            if buf[0] != proto2::PREAMBLE[0] {
-                mode = Mode::Ndjson;
-            } else if buf.len() >= proto2::PREAMBLE.len() {
-                if buf[..proto2::PREAMBLE.len()] == proto2::PREAMBLE {
-                    buf.drain(..proto2::PREAMBLE.len());
-                    mode = Mode::V2;
-                } else {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    let mut resp = error_response(0, "bad protocol preamble").into_bytes();
-                    resp.push(b'\n');
-                    let _delivered = writer.write_all(&resp).is_ok();
-                    return;
-                }
+impl Handler for RouterConn<'_> {
+    fn answer_line(&mut self, line: &str, out: &mut String) {
+        let routed = match protocol::parse_request(line) {
+            Ok(request) => {
+                self.ctx.route(&self.peer, &mut self.lines, line_routing(request), |b| {
+                    b.forward_line(line)
+                })
             }
-        }
-        let keep = match mode {
-            Mode::Undecided => true,
-            Mode::Ndjson => route_buffered_lines(&mut buf, &mut writer, ctx, &peer, &mut lines_pool),
-            Mode::V2 => route_buffered_frames(&mut buf, &mut writer, ctx, &peer, &mut frames_pool),
+            Err((id, message)) => Err(self.ctx.refuse(id, message)),
         };
-        if !keep {
-            return;
+        match routed {
+            Ok(relayed) => out.push_str(&relayed),
+            Err(reply) => protocol::encode_reply_into(out, &reply),
         }
-        if shutdown.load(Ordering::Relaxed) {
-            // Final drain, same contract as the server: everything the
-            // peer already sent gets an answer.
-            loop {
-                match reader.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
+    }
+
+    fn answer_frame(&mut self, raw: &[u8], out: &mut Vec<u8>) {
+        let routing =
+            proto2::check_frame(raw).map_err(|msg| (0, msg)).and_then(proto2::decode_routing);
+        let routed = match routing {
+            Ok(routing) => {
+                // Relayed as the exact bytes that arrived.
+                let frame = proto2::reframe(raw);
+                self.ctx.route(&self.peer, &mut self.frames, routing, |b| b.forward_frame(&frame))
             }
-            match mode {
-                Mode::Undecided => {}
-                Mode::Ndjson => {
-                    route_buffered_lines(&mut buf, &mut writer, ctx, &peer, &mut lines_pool);
-                }
-                Mode::V2 => {
-                    route_buffered_frames(&mut buf, &mut writer, ctx, &peer, &mut frames_pool);
-                }
-            }
-            return;
+            Err((id, message)) => Err(self.ctx.refuse(id, message)),
+        };
+        match routed {
+            Ok(relayed) => out.extend_from_slice(&relayed),
+            Err(reply) => proto2::encode_reply_into(out, &reply),
         }
-        match reader.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+    }
+
+    fn errors(&self) -> &AtomicU64 {
+        &self.ctx.stats.errors
     }
 }
 
-/// Pop complete NDJSON lines and answer each (routing predicts).
-fn route_buffered_lines(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> bool {
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let mut line: Vec<u8> = buf.drain(..=pos).collect();
-        line.pop();
-        let line = String::from_utf8_lossy(&line).into_owned();
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut reply = handle_router_line(line, ctx, peer, pool);
-        reply.push('\n');
-        if writer.write_all(reply.as_bytes()).is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Answer one NDJSON request at the router.
-fn handle_router_line(
-    line: &str,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> String {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return error_response(id, &msg);
-        }
-    };
+/// The routing header of a parsed NDJSON request: the fields
+/// [`proto2::decode_routing`] reads off a v2 frame, with the content
+/// key hashed over the series text.
+fn line_routing(request: Request<String>) -> Routing {
     match request {
         Request::Predict { id, model, series } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return throttled_response(id, retry_ms);
-                }
-            }
-            let key = proto2::fnv1a(series.as_bytes());
-            forward_with_failover(ctx, pool, Some(&model), key, |backend| {
-                backend.forward_line(line)
-            })
-            .unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(id, &msg)
-            })
+            Routing::Predict { id, model, key: proto2::fnv1a(series.as_bytes()) }
         }
-        Request::Augment { id, series, .. } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return throttled_response(id, retry_ms);
-                }
-            }
+        Request::Augment { id, pipeline, series, .. } => {
+            Routing::Augment { id, pipeline, key: proto2::fnv1a(series.as_bytes()) }
+        }
+        Request::Stats { id } => Routing::Stats { id },
+        Request::List { id } => Routing::List { id },
+        Request::Ping { id } => Routing::Ping { id },
+    }
+}
+
+impl RouterCtx {
+    /// The routing handler of both protocols. Predicts and augments are
+    /// admitted, then relayed verbatim by `forward` to a replica picked
+    /// by the policy, failing over across candidates; `list` goes to
+    /// any healthy replica. `Ok` is the replica's reply, to relay as
+    /// is; `Err` is a reply the router answers itself — `stats`,
+    /// `ping`, and every refusal.
+    fn route<T>(
+        &self,
+        peer: &str,
+        pool: &mut BackendPool,
+        routing: Routing,
+        forward: impl FnMut(&mut Backend) -> Result<T, String>,
+    ) -> Result<T, Reply> {
+        let (id, model, key) = match routing {
+            Routing::Predict { id, model, key } => (id, Some(model), key),
             // Pipelines are not sharded: every replica loads the same
-            // TOML, so any healthy replica can answer. Key on the
-            // series content so hash routing stays sticky per sample.
-            let key = proto2::fnv1a(series.as_bytes());
-            forward_with_failover(ctx, pool, None, key, |backend| backend.forward_line(line))
-                .unwrap_or_else(|msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    error_response(id, &msg)
-                })
-        }
-        Request::Stats { id } => result_response(id, ctx.snapshot()),
-        Request::Ping { id } => result_response(id, Value::Str("pong".to_string())),
-        Request::List { id } => {
+            // TOML, so any healthy replica can answer. The key keeps
+            // hash routing sticky per sample.
+            Routing::Augment { id, key, .. } => (id, None, key),
+            Routing::Stats { id } => return Err(Reply::Result { id, value: self.snapshot() }),
+            Routing::Ping { id } => {
+                return Err(Reply::Result { id, value: Value::Str("pong".into()) });
+            }
             // Any healthy replica can describe its models; aggregate
             // placement lives in the stats snapshot.
-            forward_any(ctx, pool, |backend| backend.forward_line(line)).unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                error_response(id, &msg)
-            })
-        }
-    }
-}
-
-/// Pop complete v2 frames and answer each (routing predicts verbatim).
-fn route_buffered_frames(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> bool {
-    loop {
-        let raw = match proto2::take_frame(buf) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => return true,
-            Err(msg) => {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let reply = proto2::encode_reply_error(0, proto2::ErrCode::Error, &msg, 0);
-                let _delivered = writer.write_all(&reply).is_ok();
-                return false;
+            Routing::List { id } => {
+                return forward_any(self, pool, forward).map_err(|msg| self.refuse(id, msg));
             }
         };
-        let reply = handle_router_frame(&raw, ctx, peer, pool);
-        if writer.write_all(&reply).is_err() {
-            return false;
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        if let Some(retry_ms) = self.admission.as_ref().and_then(|adm| adm.admit(peer).err()) {
+            self.stats.throttled.fetch_add(1, Ordering::Relaxed);
+            return Err(Reply::Throttled { id, retry_ms });
         }
+        forward_with_failover(self, pool, model.as_deref(), key, forward)
+            .map_err(|msg| self.refuse(id, msg))
     }
-}
 
-/// Answer one raw v2 frame at the router. Predicts are relayed as the
-/// exact bytes that arrived; only the routing header is decoded.
-fn handle_router_frame(
-    raw: &[u8],
-    ctx: &RouterCtx,
-    peer: &str,
-    pool: &mut BackendPool,
-) -> Vec<u8> {
-    let body = match proto2::check_frame(raw) {
-        Ok(b) => b,
-        Err(msg) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error(0, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    let routing = match proto2::decode_routing(body) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    match routing {
-        proto2::Routing::Predict { id, model, key } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return proto2::encode_reply_error(
-                        id,
-                        proto2::ErrCode::Throttled,
-                        "throttled",
-                        retry_ms,
-                    );
-                }
-            }
-            let frame = proto2::reframe(raw);
-            forward_with_failover(ctx, pool, Some(&model), key, |backend| {
-                backend.forward_frame(&frame)
-            })
-            .unwrap_or_else(|msg| {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-            })
-        }
-        proto2::Routing::Augment { id, key, .. } => {
-            ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-            if let Some(adm) = &ctx.admission {
-                if let Err(retry_ms) = adm.admit(peer) {
-                    ctx.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    return proto2::encode_reply_error(
-                        id,
-                        proto2::ErrCode::Throttled,
-                        "throttled",
-                        retry_ms,
-                    );
-                }
-            }
-            // Any healthy replica serves every pipeline; relay the
-            // frame verbatim under the payload content key.
-            let frame = proto2::reframe(raw);
-            forward_with_failover(ctx, pool, None, key, |backend| backend.forward_frame(&frame))
-                .unwrap_or_else(|msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-                })
-        }
-        proto2::Routing::Stats { id } => proto2::encode_reply_result(id, &ctx.snapshot()),
-        proto2::Routing::Ping { id } => {
-            proto2::encode_reply_result(id, &Value::Str("pong".to_string()))
-        }
-        proto2::Routing::List { id } => {
-            let frame = proto2::reframe(raw);
-            forward_any(ctx, pool, |backend| backend.forward_frame(&frame)).unwrap_or_else(
-                |msg| {
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    proto2::encode_reply_error(id, proto2::ErrCode::Error, &msg, 0)
-                },
-            )
-        }
+    /// Count a refusal in `errors` and build its reply.
+    fn refuse(&self, id: u64, message: String) -> Reply {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        Reply::Error { id, message }
     }
 }
 

@@ -1,51 +1,39 @@
-//! The TCP accept loop and per-connection request handlers.
+//! The server: bind, start the batch lanes, and serve connections
+//! until shutdown.
 //!
 //! `serve` binds, spawns the batch workers and the accept thread, and
 //! returns a [`ServerHandle`] immediately — callers (the `tsda_serve`
 //! bin, the smoke test) decide when to stop by flipping the handle's
-//! shutdown flag. The accept socket runs non-blocking so the loop can
-//! poll that flag; each connection gets its own thread answering one
-//! response per request, in order, so clients may pipeline freely.
+//! shutdown flag. Connections run the shared connection layer
+//! (`conn`) with the op dispatch ([`crate::dispatch`]) as their
+//! handler, so both wire protocols answer through the same code.
 //!
-//! Connections negotiate their protocol from the first bytes: a
-//! [`proto2::PREAMBLE`] switches the connection to length-prefixed
-//! binary frames (protocol v2); anything else is newline-delimited
-//! JSON. The mode is fixed for the connection's lifetime — see
-//! [`crate::proto2`] for the framing rules.
-//!
-//! Shutdown drains: when the flag flips, each connection handler does a
-//! final non-blocking read pass and answers every complete request
-//! (line or frame) it has already received before closing, and the
-//! batch workers run until every queue is empty — a request the server
-//! *accepted* is a request it answers, even under shutdown.
+//! Shutdown drains: every connection answers each complete request it
+//! has already received before closing, and the batch workers run
+//! until every queue is empty — a request the server *accepted* is a
+//! request it answers, even under shutdown.
 //!
 //! When [`ServerConfig::faults`] carries a
-//! [`FaultPlan`](crate::faults::FaultPlan), the handlers corrupt
-//! request bytes, delay/tear/drop response writes, stall workers, and
-//! shed submits on the plan's deterministic schedule (see
+//! [`FaultPlan`](crate::faults::FaultPlan), connections corrupt request
+//! bytes and delay/tear/drop response writes, and the lanes stall
+//! workers and shed submits, on the plan's deterministic schedule (see
 //! [`crate::faults`]). When [`ServerConfig::admission`] is set, predict
-//! requests pass a per-client token bucket first and may be refused
-//! with `throttled` replies (see [`crate::admission`]).
+//! and augment requests pass a per-client token bucket first and may be
+//! refused with `throttled` replies (see [`crate::admission`]).
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::batcher::{BatchConfig, Batcher, SubmitError};
-use crate::faults::{self, FaultPlan};
+use crate::batcher::{BatchConfig, Batcher};
+use crate::conn;
+use crate::dispatch::Dispatch;
+use crate::faults::FaultPlan;
 use crate::pipelines::PipelineRegistry;
-use crate::proto2;
-use crate::protocol::{
-    augment_response_into, decode_series, error_response, error_response_into,
-    overloaded_response_into, parse_request, predict_response_into, result_response_into,
-    throttled_response_into, Request,
-};
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-use tsda_core::{Mts, TsdaError};
+use tsda_core::TsdaError;
 
 /// Server knobs.
 #[derive(Debug, Clone, Default)]
@@ -89,11 +77,6 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// True once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
     /// Request shutdown and block until the accept loop, connection
     /// handlers, and batch workers have drained. Every request already
     /// read from a socket is answered before its connection closes;
@@ -104,6 +87,15 @@ impl ServerHandle {
             let _ = t.join();
         }
     }
+}
+
+/// What every connection of one server shares.
+struct State {
+    registry: Arc<ModelRegistry>,
+    stats: Arc<ServerStats>,
+    batcher: Batcher,
+    admission: Option<Admission>,
+    faults: Option<Arc<FaultPlan>>,
 }
 
 /// Bind and start serving. Returns once the socket is listening; the
@@ -129,635 +121,47 @@ pub fn serve(registry: ModelRegistry, config: ServerConfig) -> Result<ServerHand
     let pipelines = config.pipelines.unwrap_or_else(|| Arc::new(PipelineRegistry::new()));
     let stats = Arc::new(ServerStats::new());
     let shutdown = Arc::new(AtomicBool::new(false));
-    let faults = config.faults.clone();
-    let admission = config.admission.map(|c| Arc::new(Admission::new(c)));
-    let batcher = Arc::new(Batcher::start(
+    let batcher = Batcher::start(
         Arc::clone(&registry),
-        Arc::clone(&pipelines),
+        pipelines,
         Arc::clone(&stats),
         config.batch,
-        faults.clone(),
-    )?);
+        config.faults.clone(),
+    )?;
+    let state = Arc::new(State {
+        registry,
+        stats: Arc::clone(&stats),
+        batcher,
+        admission: config.admission.map(Admission::new),
+        faults: config.faults,
+    });
 
     let accept_thread = {
         let shutdown = Arc::clone(&shutdown);
-        let registry = Arc::clone(&registry);
-        let stats = Arc::clone(&stats);
         std::thread::Builder::new()
             .name("tsda-accept".into())
             .spawn(move || {
-                accept_loop(
-                    &listener,
-                    &registry,
-                    &pipelines,
-                    &stats,
-                    &batcher,
-                    &shutdown,
-                    faults.as_ref(),
-                    admission.as_ref(),
-                );
+                let (conn_state, conn_shutdown) = (Arc::clone(&state), Arc::clone(&shutdown));
+                conn::accept_loop(&listener, &shutdown, "tsda-conn", move |stream| {
+                    let s = &*conn_state;
+                    let mut dispatch = Dispatch {
+                        registry: &s.registry,
+                        stats: &s.stats,
+                        batcher: &s.batcher,
+                        admission: s.admission.as_ref(),
+                        peer: conn::peer_ip(&stream),
+                    };
+                    conn::serve_conn(stream, &mut dispatch, &conn_shutdown, s.faults.as_deref());
+                });
                 // Sole owner now that the loop exited and every
-                // connection thread is joined: drop the queues so the
+                // connection thread is joined: close the lanes so the
                 // workers drain and exit, then join them.
-                if let Ok(b) = Arc::try_unwrap(batcher).map_err(|_| ()) {
-                    b.shutdown();
+                if let Ok(state) = Arc::try_unwrap(state) {
+                    state.batcher.shutdown();
                 }
             })
             .map_err(|e| TsdaError::InvalidParameter(format!("spawn accept thread: {e}")))?
     };
 
     Ok(ServerHandle { addr, shutdown, stats, accept_thread: Some(accept_thread) })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    registry: &Arc<ModelRegistry>,
-    pipelines: &Arc<PipelineRegistry>,
-    stats: &Arc<ServerStats>,
-    batcher: &Arc<Batcher>,
-    shutdown: &Arc<AtomicBool>,
-    faults: Option<&Arc<FaultPlan>>,
-    admission: Option<&Arc<Admission>>,
-) {
-    let mut conn_threads = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Response lines are small; without TCP_NODELAY Nagle
-                // holds them for the peer's delayed ACK (~40ms).
-                stream.set_nodelay(true).ok();
-                let registry = Arc::clone(registry);
-                let pipelines = Arc::clone(pipelines);
-                let stats = Arc::clone(stats);
-                let batcher = Arc::clone(batcher);
-                let shutdown = Arc::clone(shutdown);
-                let faults = faults.cloned();
-                let admission = admission.cloned();
-                if let Ok(t) = std::thread::Builder::new().name("tsda-conn".into()).spawn(
-                    move || {
-                        handle_connection(
-                            stream,
-                            &registry,
-                            &pipelines,
-                            &stats,
-                            &batcher,
-                            &shutdown,
-                            faults.as_deref(),
-                            admission.as_deref(),
-                        )
-                    },
-                ) {
-                    conn_threads.push(t);
-                }
-                // Opportunistically reap finished handlers so a
-                // long-lived server doesn't accumulate join handles.
-                conn_threads.retain(|t| !t.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    for t in conn_threads {
-        let _ = t.join();
-    }
-}
-
-/// Everything a connection handler needs to answer requests, bundled so
-/// the per-protocol paths share one signature.
-struct ConnCtx<'a> {
-    registry: &'a ModelRegistry,
-    pipelines: &'a PipelineRegistry,
-    stats: &'a ServerStats,
-    batcher: &'a Batcher,
-    faults: Option<&'a FaultPlan>,
-    admission: Option<&'a Admission>,
-    /// Admission key: the peer IP (reconnecting keeps the same bucket).
-    peer: String,
-}
-
-/// The wire protocol a connection settled on.
-enum Mode {
-    /// No request bytes seen yet.
-    Undecided,
-    /// Newline-delimited JSON (protocol v1).
-    Ndjson,
-    /// Length-prefixed binary frames (protocol v2).
-    V2,
-}
-
-/// Outcome of a negotiation attempt over the current buffer.
-enum Negotiated {
-    /// Mode decided (or already was); proceed to answer.
-    Proceed,
-    /// First byte matches the preamble but the rest hasn't arrived.
-    NeedMore,
-    /// Preamble started but mismatched: refuse and close.
-    Refuse,
-}
-
-/// Decide the connection mode from the first buffered bytes. The
-/// preamble's first byte (0xB2) can never start a JSON line, so one
-/// byte settles NDJSON; a full preamble match settles v2 and consumes
-/// the preamble bytes.
-fn negotiate(buf: &mut Vec<u8>, mode: &mut Mode) -> Negotiated {
-    if !matches!(mode, Mode::Undecided) || buf.is_empty() {
-        return Negotiated::Proceed;
-    }
-    if buf[0] != proto2::PREAMBLE[0] {
-        *mode = Mode::Ndjson;
-        return Negotiated::Proceed;
-    }
-    if buf.len() < proto2::PREAMBLE.len() {
-        return Negotiated::NeedMore;
-    }
-    if buf[..proto2::PREAMBLE.len()] == proto2::PREAMBLE {
-        buf.drain(..proto2::PREAMBLE.len());
-        *mode = Mode::V2;
-        Negotiated::Proceed
-    } else {
-        Negotiated::Refuse
-    }
-}
-
-/// Per-connection reusable buffers. At steady state a connection
-/// answers requests without allocating for line extraction or response
-/// encoding — everything request-sized lives here and is cleared (not
-/// freed) between requests.
-#[derive(Default)]
-struct ConnScratch {
-    /// One request line, drained out of the read buffer.
-    line: Vec<u8>,
-    /// One NDJSON response line.
-    response: String,
-    /// One v2 reply frame.
-    frame: Vec<u8>,
-}
-
-/// Answer everything complete in `buf` for the negotiated mode.
-/// Returns false when the connection must close.
-fn answer_buffered(
-    mode: &Mode,
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &ConnCtx<'_>,
-    scratch: &mut ConnScratch,
-) -> bool {
-    match mode {
-        Mode::Undecided => true,
-        Mode::Ndjson => answer_buffered_lines(buf, writer, ctx, scratch),
-        Mode::V2 => answer_buffered_frames(buf, writer, ctx, scratch),
-    }
-}
-
-/// Pop complete lines off `buf` and answer each in order. Returns false
-/// when a write failed (peer gone or fault-injected drop) and the
-/// connection should close.
-fn answer_buffered_lines(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &ConnCtx<'_>,
-    scratch: &mut ConnScratch,
-) -> bool {
-    let ConnScratch { line, response, .. } = scratch;
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        line.clear();
-        line.extend(buf.drain(..=pos));
-        line.pop(); // the '\n'
-        if let Some(plan) = ctx.faults {
-            // Wire corruption happens between the peer's write and our
-            // parse; the parser must turn it into an error reply.
-            plan.corrupt_line(line);
-        }
-        // Borrowed in the common (valid UTF-8) case; invalid bytes are
-        // already a parse-error path.
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim();
-        if text.is_empty() {
-            continue;
-        }
-        response.clear();
-        handle_line(text, ctx, response);
-        response.push('\n');
-        if faults::write_response(writer, response.as_bytes(), ctx.faults).is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Pop complete v2 frames off `buf` and answer each in order. Returns
-/// false when the connection must close: a failed write, or a corrupted
-/// *length prefix* — unlike body corruption (caught by the checksum and
-/// answered with an error reply on an intact stream), a bad prefix
-/// desynchronises framing beyond recovery.
-fn answer_buffered_frames(
-    buf: &mut Vec<u8>,
-    writer: &mut TcpStream,
-    ctx: &ConnCtx<'_>,
-    scratch: &mut ConnScratch,
-) -> bool {
-    loop {
-        let mut raw = match proto2::take_frame(buf) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => return true,
-            Err(msg) => {
-                let reply = proto2::encode_reply_error(0, proto2::ErrCode::Error, &msg, 0);
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                // Best-effort reply: the connection closes whether or
-                // not the write lands, because framing cannot be
-                // resynchronised after a bad length prefix.
-                let _delivered = faults::write_response(writer, &reply, ctx.faults).is_ok();
-                return false;
-            }
-        };
-        if let Some(plan) = ctx.faults {
-            // Corrupt after the boundary is known: frame extraction used
-            // the (uncorrupted) length prefix, so the stream stays in
-            // sync and the checksum turns the mangled payload into an
-            // error reply instead of a different request.
-            plan.corrupt_line(&mut raw);
-        }
-        scratch.frame.clear();
-        handle_frame(&raw, ctx, &mut scratch.frame);
-        if faults::write_response(writer, &scratch.frame, ctx.faults).is_err() {
-            return false;
-        }
-    }
-}
-
-/// Read requests, answer each in order. Uses a short read timeout so
-/// the handler notices shutdown within ~100ms even on an idle
-/// keep-alive connection. On shutdown the handler drains: one final
-/// read pass picks up anything the peer already sent, and every
-/// complete request gets its response before the socket closes.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    registry: &ModelRegistry,
-    pipelines: &PipelineRegistry,
-    stats: &ServerStats,
-    batcher: &Batcher,
-    shutdown: &AtomicBool,
-    faults: Option<&FaultPlan>,
-    admission: Option<&Admission>,
-) {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let ctx = ConnCtx { registry, pipelines, stats, batcher, faults, admission, peer };
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    if reader.set_read_timeout(Some(Duration::from_millis(100))).is_err() {
-        return;
-    }
-    let mut writer = stream;
-    let mut buf = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let mut mode = Mode::Undecided;
-    let mut scratch = ConnScratch::default();
-    loop {
-        match negotiate(&mut buf, &mut mode) {
-            Negotiated::Proceed => {
-                if !answer_buffered(&mode, &mut buf, &mut writer, &ctx, &mut scratch) {
-                    return;
-                }
-            }
-            Negotiated::NeedMore => {}
-            Negotiated::Refuse => {
-                // A broken preamble is not attributable to either
-                // protocol; answer once in NDJSON (any client can read
-                // it) and close.
-                let mut resp = error_response(0, "bad protocol preamble").into_bytes();
-                resp.push(b'\n');
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                // Best-effort refusal; the connection closes either way.
-                let _delivered = faults::write_response(&mut writer, &resp, ctx.faults).is_ok();
-                return;
-            }
-        }
-        if shutdown.load(Ordering::Relaxed) {
-            // Final drain: requests the peer pipelined before shutdown
-            // may still sit in the kernel buffer. Read until the socket
-            // goes quiet, then answer everything complete.
-            loop {
-                match reader.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => break, // WouldBlock/TimedOut: socket quiet
-                }
-            }
-            if matches!(negotiate(&mut buf, &mut mode), Negotiated::Proceed) {
-                answer_buffered(&mode, &mut buf, &mut writer, &ctx, &mut scratch);
-            }
-            return;
-        }
-        match reader.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// How one predict request resolved, protocol-independent. The two
-/// wire paths render this into their reply encoding.
-enum PredictOutcome {
-    /// A label came back.
-    Label {
-        /// Predicted class label.
-        label: usize,
-        /// Batch size the prediction rode in.
-        batch: usize,
-        /// Server-side latency, microseconds.
-        micros: u64,
-    },
-    /// Bounded-queue (or fault-plan) load shed.
-    Shed {
-        /// Backoff hint, milliseconds.
-        retry_ms: u64,
-    },
-    /// Admission-control refusal.
-    Throttled {
-        /// Backoff hint, milliseconds.
-        retry_ms: u64,
-    },
-    /// Any other refusal, with its message.
-    Failed(String),
-}
-
-/// The shared predict core: admission, registry lookup, shape
-/// validation, batched prediction. Counts every outcome in `stats`.
-fn run_predict(model: &str, series: Mts, ctx: &ConnCtx<'_>) -> PredictOutcome {
-    let stats = ctx.stats;
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    if let Some(adm) = ctx.admission {
-        if let Err(retry_ms) = adm.admit(&ctx.peer) {
-            stats.throttled.fetch_add(1, Ordering::Relaxed);
-            return PredictOutcome::Throttled { retry_ms };
-        }
-    }
-    let entry = match ctx.registry.get(model) {
-        Some(e) => e,
-        None => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return PredictOutcome::Failed(format!("unknown model {model:?}"));
-        }
-    };
-    if let Err(msg) = entry.validate(&series) {
-        stats.errors.fetch_add(1, Ordering::Relaxed);
-        return PredictOutcome::Failed(msg);
-    }
-    let pending = match ctx.batcher.submit(model, series) {
-        Ok(pending) => pending,
-        Err(SubmitError::Overloaded { retry_ms }) => {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            return PredictOutcome::Shed { retry_ms };
-        }
-        Err(SubmitError::UnknownModel | SubmitError::UnknownPipeline) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return PredictOutcome::Failed(format!("unknown model {model:?}"));
-        }
-        Err(SubmitError::Closed) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return PredictOutcome::Failed("server shutting down".to_string());
-        }
-    };
-    // recv() always answers: an accepted job either gets its batch
-    // result or (if its worker abandoned it) a shutdown error.
-    let reply = pending.recv();
-    match reply.result {
-        Ok(label) => PredictOutcome::Label { label, batch: reply.batch_size, micros: reply.micros },
-        Err(msg) => PredictOutcome::Failed(msg),
-    }
-}
-
-/// How one augment request resolved, protocol-independent. Mirrors
-/// [`PredictOutcome`] but carries the transformed series.
-enum AugmentOutcome {
-    /// The transformed series came back.
-    Series {
-        /// Augmented series, bit-identical to offline execution.
-        series: Mts,
-        /// Batch size the job rode in.
-        batch: usize,
-        /// Server-side latency, microseconds.
-        micros: u64,
-    },
-    /// Bounded-queue (or fault-plan) load shed.
-    Shed {
-        /// Backoff hint, milliseconds.
-        retry_ms: u64,
-    },
-    /// Admission-control refusal.
-    Throttled {
-        /// Backoff hint, milliseconds.
-        retry_ms: u64,
-    },
-    /// Any other refusal, with its message.
-    Failed(String),
-}
-
-/// The shared augment core: admission, pipeline lookup, batched
-/// execution on the pipeline's worker. Counts every outcome in `stats`.
-fn run_augment(
-    pipeline: &str,
-    series: Mts,
-    seed: u64,
-    index: u64,
-    ctx: &ConnCtx<'_>,
-) -> AugmentOutcome {
-    let stats = ctx.stats;
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    if let Some(adm) = ctx.admission {
-        if let Err(retry_ms) = adm.admit(&ctx.peer) {
-            stats.throttled.fetch_add(1, Ordering::Relaxed);
-            return AugmentOutcome::Throttled { retry_ms };
-        }
-    }
-    if ctx.pipelines.get(pipeline).is_none() {
-        stats.errors.fetch_add(1, Ordering::Relaxed);
-        return AugmentOutcome::Failed(format!("unknown pipeline {pipeline:?}"));
-    }
-    let pending = match ctx.batcher.submit_augment(pipeline, series, seed, index) {
-        Ok(pending) => pending,
-        Err(SubmitError::Overloaded { retry_ms }) => {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            return AugmentOutcome::Shed { retry_ms };
-        }
-        Err(SubmitError::UnknownModel | SubmitError::UnknownPipeline) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return AugmentOutcome::Failed(format!("unknown pipeline {pipeline:?}"));
-        }
-        Err(SubmitError::Closed) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            return AugmentOutcome::Failed("server shutting down".to_string());
-        }
-    };
-    // recv() always answers: an accepted job either gets its batch
-    // result or (if its worker abandoned it) a shutdown error.
-    let reply = pending.recv();
-    match reply.result {
-        Ok(series) => {
-            AugmentOutcome::Series { series, batch: reply.batch_size, micros: reply.micros }
-        }
-        Err(msg) => AugmentOutcome::Failed(msg),
-    }
-}
-
-/// `stats` endpoint payload: the server-wide counter snapshot plus the
-/// per-queue rows (depth, submitted, shed, ticket_allocs) from the
-/// batcher — the live evidence that the warm pools cover the load.
-fn stats_value(ctx: &ConnCtx<'_>) -> serde::Value {
-    let mut v = ctx.stats.snapshot().to_value();
-    if let serde::Value::Object(pairs) = &mut v {
-        pairs.push(("queues".into(), ctx.batcher.queue_stats()));
-    }
-    v
-}
-
-/// Answer one NDJSON request line, appending the response line to `out`
-/// (no trailing newline — the connection loop adds it).
-fn handle_line(line: &str, ctx: &ConnCtx<'_>, out: &mut String) {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return error_response_into(out, id, &msg);
-        }
-    };
-    match request {
-        Request::Predict { id, model, series } => {
-            let mts = match decode_series(&series) {
-                Ok(s) => s,
-                Err(e) => {
-                    ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return error_response_into(out, id, &format!("bad series: {e}"));
-                }
-            };
-            match run_predict(&model, mts, ctx) {
-                PredictOutcome::Label { label, batch, micros } => {
-                    predict_response_into(out, id, &model, label, batch, micros)
-                }
-                PredictOutcome::Shed { retry_ms } => overloaded_response_into(out, id, retry_ms),
-                PredictOutcome::Throttled { retry_ms } => {
-                    throttled_response_into(out, id, retry_ms)
-                }
-                PredictOutcome::Failed(msg) => error_response_into(out, id, &msg),
-            }
-        }
-        Request::Augment { id, pipeline, seed, index, series } => {
-            let mts = match decode_series(&series) {
-                Ok(s) => s,
-                Err(e) => {
-                    ctx.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return error_response_into(out, id, &format!("bad series: {e}"));
-                }
-            };
-            match run_augment(&pipeline, mts, seed, index, ctx) {
-                AugmentOutcome::Series { series, batch, micros } => {
-                    augment_response_into(out, id, &pipeline, &series, batch, micros)
-                }
-                AugmentOutcome::Shed { retry_ms } => overloaded_response_into(out, id, retry_ms),
-                AugmentOutcome::Throttled { retry_ms } => {
-                    throttled_response_into(out, id, retry_ms)
-                }
-                AugmentOutcome::Failed(msg) => error_response_into(out, id, &msg),
-            }
-        }
-        Request::Stats { id } => result_response_into(out, id, &stats_value(ctx)),
-        Request::List { id } => result_response_into(out, id, &ctx.registry.describe()),
-        Request::Ping { id } => result_response_into(out, id, &serde::Value::Str("pong".into())),
-    }
-}
-
-/// Answer one raw v2 frame (`body + crc`), appending one reply frame
-/// to `out`.
-fn handle_frame(raw: &[u8], ctx: &ConnCtx<'_>, out: &mut Vec<u8>) {
-    let body = match proto2::check_frame(raw) {
-        Ok(b) => b,
-        Err(msg) => {
-            // Body corruption: the checksum caught it, the stream is
-            // still framed, so answer and keep serving. Id 0 — the real
-            // id is untrustworthy inside a corrupted frame.
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error_into(out, 0, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    let request = match proto2::decode_request(body) {
-        Ok(r) => r,
-        Err((id, msg)) => {
-            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            return proto2::encode_reply_error_into(out, id, proto2::ErrCode::Error, &msg, 0);
-        }
-    };
-    match request {
-        proto2::Request2::Predict { id, model, series } => {
-            match run_predict(&model, series, ctx) {
-                PredictOutcome::Label { label, batch, micros } => {
-                    proto2::encode_reply_predict_into(out, id, label as u64, batch as u32, micros)
-                }
-                PredictOutcome::Shed { retry_ms } => proto2::encode_reply_error_into(
-                    out,
-                    id,
-                    proto2::ErrCode::Overloaded,
-                    "overloaded",
-                    retry_ms,
-                ),
-                PredictOutcome::Throttled { retry_ms } => proto2::encode_reply_error_into(
-                    out,
-                    id,
-                    proto2::ErrCode::Throttled,
-                    "throttled",
-                    retry_ms,
-                ),
-                PredictOutcome::Failed(msg) => {
-                    proto2::encode_reply_error_into(out, id, proto2::ErrCode::Error, &msg, 0)
-                }
-            }
-        }
-        proto2::Request2::Augment { id, pipeline, seed, index, series } => {
-            match run_augment(&pipeline, series, seed, index, ctx) {
-                AugmentOutcome::Series { series, batch, micros } => {
-                    proto2::encode_reply_augment_into(out, id, &series, batch as u32, micros)
-                }
-                AugmentOutcome::Shed { retry_ms } => proto2::encode_reply_error_into(
-                    out,
-                    id,
-                    proto2::ErrCode::Overloaded,
-                    "overloaded",
-                    retry_ms,
-                ),
-                AugmentOutcome::Throttled { retry_ms } => proto2::encode_reply_error_into(
-                    out,
-                    id,
-                    proto2::ErrCode::Throttled,
-                    "throttled",
-                    retry_ms,
-                ),
-                AugmentOutcome::Failed(msg) => {
-                    proto2::encode_reply_error_into(out, id, proto2::ErrCode::Error, &msg, 0)
-                }
-            }
-        }
-        proto2::Request2::Stats { id } => {
-            proto2::encode_reply_result_into(out, id, &stats_value(ctx))
-        }
-        proto2::Request2::List { id } => {
-            proto2::encode_reply_result_into(out, id, &ctx.registry.describe())
-        }
-        proto2::Request2::Ping { id } => {
-            proto2::encode_reply_result_into(out, id, &serde::Value::Str("pong".into()))
-        }
-    }
 }

@@ -115,11 +115,19 @@ impl LatencyHistogram {
 }
 
 /// All counters for one server instance.
+///
+/// Counting rule, the same on both wire protocols: a predict or augment
+/// counts in `requests` once it has decoded completely — envelope and
+/// series — and before admission or validation. A request that fails
+/// to decode (bad JSON, missing field, bad frame, or a series that does
+/// not parse) counts in `errors` only.
 pub struct ServerStats {
     started: Instant,
-    /// Predict requests received (before validation).
+    /// Predict and augment requests received (decoded, before
+    /// admission and validation).
     pub requests: AtomicU64,
-    /// Predict requests answered with an error.
+    /// Requests answered with an error, including ones that failed to
+    /// decode.
     pub errors: AtomicU64,
     /// Predict requests refused with an `overloaded` reply (bounded
     /// queue full or fault-plan shed). Not counted as errors: shedding

@@ -22,9 +22,9 @@ fn archive_to_accuracy_pipeline_runs() {
     let counts = balanced.class_counts();
     assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
 
-    let mut model = Rocket::new(RocketConfig { n_kernels: 150, n_threads: 2, ..RocketConfig::default() });
+    let mut model = Rocket::new(RocketConfig { n_kernels: 150, ..RocketConfig::default() });
     let baseline = model.fit_score(&data.train, None, &data.test, &mut seeded(2));
-    let mut model_aug = Rocket::new(RocketConfig { n_kernels: 150, n_threads: 2, ..RocketConfig::default() });
+    let mut model_aug = Rocket::new(RocketConfig { n_kernels: 150, ..RocketConfig::default() });
     let augmented = model_aug.fit_score(&balanced, None, &data.test, &mut seeded(2));
 
     // Both models must clearly beat 4-class chance on this separable set.
