@@ -12,7 +12,8 @@
 //!   determinism tests in `tsda-classify`/`tsda-neuro` assert.
 //! * **One knob.** The worker count resolves, in order: an explicit
 //!   [`ThreadLimit::set`] override, the `TSDA_THREADS` environment
-//!   variable, then [`std::thread::available_parallelism`].
+//!   variable, then [`std::thread::available_parallelism`]. The last
+//!   two are read once per process.
 //! * **No oversubscription.** A pool call made from inside another pool
 //!   worker runs serially on that worker; nesting (e.g. the bench grid
 //!   parallelising cells whose classifiers parallelise batches) can
@@ -28,8 +29,10 @@ use std::sync::OnceLock;
 /// Explicit global worker-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// `TSDA_THREADS` parsed once at first use.
-static ENV_LIMIT: OnceLock<Option<usize>> = OnceLock::new();
+/// The default worker count — `TSDA_THREADS`, else available
+/// parallelism — resolved once at first use: querying the OS re-reads
+/// cgroup files, which costs tens of microseconds per pool call.
+static DEFAULT_LIMIT: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// True on threads spawned by a [`Pool`]; nested calls go serial.
@@ -65,16 +68,13 @@ impl ThreadLimit {
         if over != 0 {
             return over;
         }
-        let env = ENV_LIMIT.get_or_init(|| {
+        *DEFAULT_LIMIT.get_or_init(|| {
             std::env::var("TSDA_THREADS")
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n > 0)
-        });
-        if let Some(n) = env {
-            return *n;
-        }
-        std::thread::available_parallelism().map_or(1, usize::from)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+        })
     }
 }
 

@@ -148,18 +148,30 @@ pub fn parse_series_line(text: &str) -> Result<Mts, TsdaError> {
 /// parse is bit-exact (NaN included, as `?`).
 pub fn format_series_line(s: &Mts) -> String {
     let mut out = String::new();
+    format_series_into(s, &mut out);
+    out
+}
+
+/// [`format_series_line`], appended to a caller-owned buffer: each value
+/// is written straight into `out`, so a buffer with room to spare takes
+/// the whole series without allocating.
+pub fn format_series_into(s: &Mts, out: &mut String) {
+    use std::fmt::Write;
     for m in 0..s.n_dims() {
         if m > 0 {
             out.push(':');
         }
-        let vals: Vec<String> = s
-            .dim(m)
-            .iter()
-            .map(|v| if v.is_nan() { "?".to_string() } else { format!("{v}") })
-            .collect();
-        out.push_str(&vals.join(","));
+        for (t, v) in s.dim(m).iter().enumerate() {
+            if t > 0 {
+                out.push(',');
+            }
+            if v.is_nan() {
+                out.push('?');
+            } else {
+                let _ = write!(out, "{v}");
+            }
+        }
     }
-    out
 }
 
 /// Serialise a dataset to `.ts` text. Labels are written as `c<index>`
@@ -180,7 +192,7 @@ pub fn write_ts(ds: &Dataset, problem_name: &str, class_names: Option<&[String]>
     }
     out.push_str("\n@data\n");
     for (s, l) in ds.iter() {
-        out.push_str(&format_series_line(s));
+        format_series_into(s, &mut out);
         out.push(':');
         out.push_str(&names[l]);
         out.push('\n');

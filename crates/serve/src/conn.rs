@@ -21,7 +21,7 @@ use crate::dispatch::Reply;
 use crate::faults::{self, FaultPlan};
 use crate::{proto2, protocol};
 use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -45,14 +45,20 @@ pub(crate) fn peer_ip(stream: &TcpStream) -> String {
 
 /// Accept connections until `shutdown` flips, running `serve` for each
 /// on its own thread named `thread`, then join every connection thread.
-/// The listener is non-blocking so the loop can poll the flag.
+/// The listener blocks in `accept`: whoever flips the flag then wakes
+/// the loop with [`wake_accept`], and anything accepted after the flip
+/// is dropped unserved.
 pub(crate) fn accept_loop<F>(listener: &TcpListener, shutdown: &AtomicBool, thread: &str, serve: F)
 where
     F: Fn(TcpStream) + Clone + Send + 'static,
 {
     let mut conn_threads = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::Relaxed) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 // Replies are small; without TCP_NODELAY Nagle holds
                 // them for the peer's delayed ACK (~40ms).
@@ -66,13 +72,28 @@ where
                 // long-lived server doesn't accumulate join handles.
                 conn_threads.retain(|t| !t.is_finished());
             }
-            // WouldBlock (nothing to accept) or a transient error.
+            // A real accept error (EMFILE, ECONNABORTED, ...): back off
+            // briefly instead of spinning on it.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
     for t in conn_threads {
         let _ = t.join();
     }
+}
+
+/// Wake an [`accept_loop`] blocked on a listener bound to `addr`, after
+/// its shutdown flag flipped: one throwaway connection, to loopback when
+/// the listener is bound to the unspecified address.
+pub(crate) fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr = match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        };
+        addr.set_ip(loopback);
+    }
+    let _woken = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok();
 }
 
 /// Serve one connection until the peer closes, a write fails, or

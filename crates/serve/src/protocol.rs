@@ -147,7 +147,10 @@ pub fn predict_response_into(
 /// Successful augment response, appended to `out`. The series is `.ts`
 /// data-line encoded; Rust's `{}` float formatting prints the shortest
 /// round-trip representation, so finite values survive the text hop
-/// bit-exactly.
+/// bit-exactly. The `.ts` alphabet (digits, `-`, `.`, `inf`, `?`, `,`,
+/// `:`) needs no JSON escaping, so the series is written straight
+/// between the quotes: a warm buffer takes the reply without
+/// allocating.
 pub fn augment_response_into(
     out: &mut String,
     id: u64,
@@ -159,9 +162,9 @@ pub fn augment_response_into(
     use std::fmt::Write;
     let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"pipeline\":");
     push_json_str(out, pipeline);
-    out.push_str(",\"series\":");
-    push_json_str(out, &tsda_datasets::ts_format::format_series_line(series));
-    let _ = write!(out, ",\"batch\":{batch},\"micros\":{micros}}}");
+    out.push_str(",\"series\":\"");
+    tsda_datasets::ts_format::format_series_into(series, out);
+    let _ = write!(out, "\",\"batch\":{batch},\"micros\":{micros}}}");
 }
 
 /// Error response for any request, appended to `out`.

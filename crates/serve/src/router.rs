@@ -445,6 +445,7 @@ impl RouterHandle {
     /// spawned replicas.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        conn::wake_accept(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -508,9 +509,6 @@ impl Router {
         let addr = listener
             .local_addr()
             .map_err(|e| TsdaError::InvalidParameter(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| TsdaError::InvalidParameter(format!("set_nonblocking: {e}")))?;
 
         let ctx = Arc::new(RouterCtx {
             replicas,

@@ -83,6 +83,7 @@ impl ServerHandle {
     /// every job already queued is predicted before its worker exits.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        conn::wake_accept(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -113,9 +114,6 @@ pub fn serve(registry: ModelRegistry, config: ServerConfig) -> Result<ServerHand
     let addr = listener
         .local_addr()
         .map_err(|e| TsdaError::InvalidParameter(format!("local_addr: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| TsdaError::InvalidParameter(format!("set_nonblocking: {e}")))?;
 
     let registry = Arc::new(registry);
     let pipelines = config.pipelines.unwrap_or_else(|| Arc::new(PipelineRegistry::new()));

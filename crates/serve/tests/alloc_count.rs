@@ -4,7 +4,8 @@
 //! after a warm-up pass, a full submit → coalesce → predict → reply →
 //! wait round-trip must perform **zero** heap allocations anywhere in
 //! the process (connection side, ring, ticket pool, worker scratch,
-//! stub predict).
+//! stub predict). A second phase holds the NDJSON augment reply
+//! encoder to the same rule: a warm reply buffer takes a whole series.
 //!
 //! Everything lives in one `#[test]` on purpose: the counter is
 //! process-global, and sibling tests in the same binary would run on
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tsda_core::Mts;
 use tsda_serve::batcher::{BatchConfig, Batcher};
-use tsda_serve::{ModelEntry, ModelRegistry, PipelineRegistry, ServerStats};
+use tsda_serve::{protocol, ModelEntry, ModelRegistry, PipelineRegistry, ServerStats};
 
 struct CountingAlloc;
 
@@ -104,4 +105,27 @@ fn warm_batcher_answers_requests_without_allocating() {
     assert_eq!(row.get("ticket_allocs").and_then(serde::Value::as_f64), Some(0.0));
     assert_eq!(row.get("shed").and_then(serde::Value::as_f64), Some(0.0));
     batcher.shutdown();
+
+    // Reply encoding: an augment reply for a RacketSports-shaped 6×30
+    // series (fractional, negative, missing values) into a connection's
+    // reused buffer. The first call sizes the buffer; after that every
+    // value is formatted in place.
+    let series = Mts::from_dims(
+        (0..6)
+            .map(|d| {
+                (0..30)
+                    .map(|t| if t == 7 { f64::NAN } else { (d * 30 + t) as f64 * -0.37 + 1e-3 })
+                    .collect()
+            })
+            .collect(),
+    );
+    let mut reply = String::new();
+    protocol::augment_response_into(&mut reply, u64::MAX, "light", &series, 32, u64::MAX);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for id in 0..64 {
+        reply.clear();
+        protocol::augment_response_into(&mut reply, id, "light", &series, 1, 140);
+    }
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(during, 0, "a warm augment reply must not allocate ({during} allocations)");
 }

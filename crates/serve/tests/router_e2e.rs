@@ -72,6 +72,34 @@ fn external(addr: String) -> ReplicaSpec {
     ReplicaSpec::External { addr, models: vec!["rocket".to_string()] }
 }
 
+/// Run `stop` on its own thread and fail unless it returns within 2 s,
+/// so a shutdown that never wakes its blocked accept loop fails the
+/// suite instead of hanging it.
+fn stops_within_2s(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        stop();
+        done.send(()).ok();
+    });
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "{what} did not shut down within 2 s"
+    );
+    stopper.join().expect("shutdown thread panicked");
+}
+
+#[test]
+fn idle_server_and_router_shut_down_promptly() {
+    let (replica, _, _) = replica_server(3);
+    let router = Router::start(RouterConfig {
+        replicas: vec![external(replica.addr().to_string())],
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    stops_within_2s("idle router", move || router.shutdown());
+    stops_within_2s("idle server", move || replica.shutdown());
+}
+
 #[test]
 fn router_routes_both_protocols_over_external_replicas() {
     let (replica_a, offline, test) = replica_server(21);

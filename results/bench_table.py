@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Render a parent-vs-change perfbench record as Markdown tables.
+
+Usage, from the repository root:
+
+    python3 results/bench_table.py results/perfbench_work_conserving.jsonl
+
+Each input line is one perfbench run: {"side": "parent"|"change",
+"workload", "seed", "trace": 0|1, "result": <perfbench's final JSON
+line>}. Traced runs also carry "decomposition": the numbers of
+perfbench's "decomposition of client latency" note (median self times,
+us). Untraced runs give one row per workload and end-to-end metric of
+BENCHMARK.json: the median and quartiles of each side, the change's
+ratio to the parent, how many same-seed pairs the change wins, and
+whether the change's median stays within the metric's regression
+bound, and whether each side's spread (q3 - q1) stays within the same
+bound taken as a share of the parent's median: a change whose runs
+spread wider than that cannot be told apart from the parent. Traced
+runs give, per workload and side, the median over runs of the
+per-layer metrics and of the latency decomposition.
+"""
+
+import json
+import os
+import statistics
+import sys
+
+TRACED = [
+    "batcher.queue_wait_us",
+    "batcher.batch_mean",
+    "wire.req_decode_us",
+    "wire.reply_decode_us",
+    "wire.reply_encode_us",
+    "server.outside_p50_us",
+    "batcher.shed",
+    "batcher.ticket_allocs",
+    "router.restarts",
+]
+
+# The in-process replay of each workload's batch call at batch size 1.
+LANE_REPLAY = {
+    "predict-closed": "model.rocket.b1_us",
+    "augment-ndjson": "augment.apply_us",
+    "predict-router": "model.inception.b1_us",
+}
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    with open(path) as f:
+        runs = [json.loads(line) for line in f if line.strip()]
+
+    print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
+          "| change / parent | change wins | within bound | spread, parent / change / bound |")
+    print("|---|---|---|---|---|---|---|---|")
+    for workload in (w["name"] for w in bench["workloads"]):
+        plain = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+        if not plain:
+            continue
+        for metric in bench["end_to_end"]:
+            name, lower = metric["name"], metric["better"] == "lower"
+            side = {s: {r["seed"]: r["result"]["metrics"][name]["value"]
+                        for r in plain if r["side"] == s} for s in ("parent", "change")}
+            p1, pm, p3 = quartiles(sorted(side["parent"].values()))
+            c1, cm, c3 = quartiles(sorted(side["change"].values()))
+            seeds = sorted(set(side["parent"]) & set(side["change"]))
+            wins = sum((side["change"][s] < side["parent"][s]) if lower
+                       else (side["change"][s] > side["parent"][s]) for s in seeds)
+            worse = (cm - pm) / pm if lower else (pm - cm) / pm
+            bound = metric["bound"] * pm
+            steady = p3 - p1 <= bound and c3 - c1 <= bound
+            print(f"| {workload} | `{name}` | {pm:.4g} [{p1:.4g}, {p3:.4g}] "
+                  f"| {cm:.4g} [{c1:.4g}, {c3:.4g}] | {cm / pm:.3f} "
+                  f"| {wins} of {len(seeds)} | {'yes' if worse <= metric['bound'] else 'NO'} "
+                  f"| {p3 - p1:.3g} / {c3 - c1:.3g} / {bound:.3g} {'' if steady else 'WIDE'} |")
+
+    traced = [r for r in runs if r["trace"] == 1]
+    if not traced:
+        return
+    groups = []
+    for workload in (w["name"] for w in bench["workloads"]):
+        for side in ("parent", "change"):
+            group = [r for r in traced if r["workload"] == workload and r["side"] == side]
+            if group:
+                groups.append((workload, side, group))
+
+    def med(values):
+        return f"{statistics.median(values):.4g}" if values else "–"
+
+    print()
+    print("| workload | side | runs | " + " | ".join(f"`{m}`" for m in TRACED)
+          + " | lane replay, b1 |")
+    print("|---|---|---|" + "---|" * (len(TRACED) + 1))
+    for workload, side, group in groups:
+        cells = [med([r["result"]["metrics"][m]["value"] for r in group
+                      if m in r["result"]["metrics"]]) for m in TRACED + [LANE_REPLAY[workload]]]
+        print(f"| {workload} | {side} | {len(group)} | " + " | ".join(cells[:-1])
+              + f" | `{LANE_REPLAY[workload]}` {cells[-1]} |")
+
+    parts = ["outside", "server_codec", "unexplained", "queue_wait", "lane"]
+    print()
+    print("| workload | side | lane call | " + " | ".join(parts) + " |")
+    print("|---|---|---|" + "---|" * len(parts))
+    for workload, side, group in groups:
+        cells = [med([r["decomposition"][p] for r in group]) for p in parts]
+        lane = group[0]["decomposition"]["lane_name"]
+        print(f"| {workload} | {side} | {lane} | " + " | ".join(cells) + " |")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
