@@ -10,8 +10,9 @@
 //! top: a pipeline is parsed from a TOML subset (same line-based shape
 //! as `analyze.toml`), every per-sample decision draws its RNG from
 //! [`tsda_core::rng::derive_stream`], and batched execution runs on the
-//! shared compute pool — so the output for sample `i` never depends on
-//! worker count, batch boundaries, or which server replica ran it.
+//! shared compute pool offline and on the calling thread when served —
+//! so the output for sample `i` never depends on worker count, batch
+//! boundaries, or which server replica ran it.
 //!
 //! # Config format
 //!
@@ -428,13 +429,15 @@ impl AugPipeline {
     /// Batched execution with explicit per-item `(seed, index)` pairs —
     /// the serving path, where one batch mixes requests from different
     /// clients. Output order matches input order and each element is
-    /// independent of the batch composition.
+    /// independent of the batch composition. Runs on the calling
+    /// thread: a serving-size batch takes less time than the thread
+    /// spawns the pool would make for it.
     #[doc(alias = "tsda::hot")]
     pub fn run_each(&self, items: &[(Mts, u64, u64)]) -> Vec<Mts> {
-        Pool::global().par_map_indexed(items.len(), |i| {
-            let (series, seed, index) = &items[i];
-            self.apply_one(series, *seed, *index)
-        })
+        items
+            .iter()
+            .map(|(series, seed, index)| self.apply_one(series, *seed, *index))
+            .collect()
     }
 }
 

@@ -69,10 +69,7 @@ impl RidgeClassifier {
     /// on an unfitted model or a feature-width mismatch, which is what
     /// the serving layer needs when the input comes off the wire.
     pub fn try_predict_features(&self, features: &[Vec<f64>]) -> Result<Vec<Label>, TsdaError> {
-        let sol = self
-            .solution
-            .as_ref()
-            .ok_or_else(|| TsdaError::InvalidParameter("predict before fit".into()))?;
+        let sol = self.solution()?;
         let p = self.feature_mean.len();
         if let Some(bad) = features.iter().find(|row| row.len() != p) {
             return Err(TsdaError::Shape(format!(
@@ -80,23 +77,57 @@ impl RidgeClassifier {
                 bad.len()
             )));
         }
+        let mut scores = Vec::with_capacity(self.n_classes);
         Ok(features
             .iter()
-            .map(|row| {
-                let x: Vec<f64> = row
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| (v - self.feature_mean[j]) / self.feature_std[j])
-                    .collect();
-                let scores = sol.predict(&x);
-                scores
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0)
-            })
+            .map(|row| self.label_row(sol, &mut row.clone(), &mut scores))
             .collect())
+    }
+
+    /// Predict labels for the rows of a flat feature buffer, `width`
+    /// values per row, appending to `out`. Each row is standardised in
+    /// place and scored into `scores`, so nothing is allocated once
+    /// `out` and `scores` have grown. Labels equal
+    /// [`Self::try_predict_features`] on the same rows.
+    pub(crate) fn predict_rows_into(
+        &self,
+        features: &mut [f64],
+        width: usize,
+        scores: &mut Vec<f64>,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
+        let sol = self.solution()?;
+        let p = self.feature_mean.len();
+        if width != p || p == 0 || !features.len().is_multiple_of(p) {
+            return Err(TsdaError::Shape(format!(
+                "feature row has {width} values, model expects {p}"
+            )));
+        }
+        for row in features.chunks_exact_mut(p) {
+            out.push(self.label_row(sol, row, scores));
+        }
+        Ok(())
+    }
+
+    fn solution(&self) -> Result<&RidgeSolution, TsdaError> {
+        self.solution
+            .as_ref()
+            .ok_or_else(|| TsdaError::InvalidParameter("predict before fit".into()))
+    }
+
+    /// Standardise one raw feature row in place with the training
+    /// statistics, score it, and return the arg-max class.
+    fn label_row(&self, sol: &RidgeSolution, row: &mut [f64], scores: &mut Vec<f64>) -> Label {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = (*v - self.feature_mean[j]) / self.feature_std[j];
+        }
+        sol.predict_into(row, scores);
+        scores
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(c, _)| c)
+            .unwrap_or(0)
     }
 
     /// The alpha the LOOCV sweep selected (None before fit).

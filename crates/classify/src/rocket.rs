@@ -15,14 +15,25 @@ use crate::ridge::RidgeClassifier;
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cell::Cell;
 use tsda_core::codec::{ByteReader, ByteWriter, CodecReader, CodecWriter};
 use tsda_core::parallel::Pool;
+use tsda_core::preprocess::{impute_linear_dim, znormalize_dim};
 use tsda_core::rng::standard_normal;
 use tsda_core::{Dataset, Label, Mts, TsdaError};
 use tsda_linalg::simd::{self, SimdLevel};
 
 /// Codec kind tag for saved ROCKET models.
 pub const ROCKET_KIND: &str = "rocket";
+
+thread_local! {
+    /// [`Rocket::predict_into`]'s feature matrix and ridge scores, on
+    /// the calling thread (a serving lane's worker).
+    static BATCH_SCRATCH: Cell<(Vec<f64>, Vec<f64>)> = const { Cell::new((Vec::new(), Vec::new())) };
+    /// One series' cleaned values and convolution output, on whichever
+    /// thread transforms it.
+    static SERIES_SCRATCH: Cell<(Vec<f64>, Vec<f64>)> = const { Cell::new((Vec::new(), Vec::new())) };
+}
 
 /// Which pooled features each kernel contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,7 +126,8 @@ impl Kernel {
         Kernel { weights, channels, length, bias, dilation, padding }
     }
 
-    /// Apply to one series: returns `(ppv, max)`.
+    /// Apply to one series, given as its flat dimension-major values
+    /// and its length: returns `(ppv, max)`.
     ///
     /// The convolution is evaluated tap-by-tap: `out` starts at the bias
     /// and each `(channel, tap)` pair contributes one vectorised axpy
@@ -125,8 +137,7 @@ impl Kernel {
     /// features are bit-identical to it (and across dispatch levels);
     /// only the pooled max's traversal order changed, which can alter
     /// at most the sign of a `±0.0` maximum.
-    fn apply(&self, s: &Mts, out: &mut Vec<f64>, lvl: SimdLevel) -> (f64, f64) {
-        let t_len = s.len();
+    fn apply(&self, s: &[f64], t_len: usize, out: &mut Vec<f64>, lvl: SimdLevel) -> (f64, f64) {
         let span = (self.length - 1) * self.dilation;
         let out_len = (t_len + 2 * self.padding).saturating_sub(span);
         if out_len == 0 {
@@ -136,7 +147,7 @@ impl Kernel {
         out.resize(out_len, self.bias);
         let pad = self.padding as isize;
         for (ci, &ch) in self.channels.iter().enumerate() {
-            let dim = s.dim(ch);
+            let dim = &s[ch * t_len..(ch + 1) * t_len];
             for (k, &wk) in self.weights[ci].iter().enumerate() {
                 // This tap reads input index `out_i + shift`; clamp the
                 // output range so the read stays inside the series (the
@@ -184,24 +195,39 @@ impl Rocket {
     /// fitted kernels, so the result is bit-identical for any thread
     /// count.
     pub fn transform(&self, ds: &Dataset) -> Vec<Vec<f64>> {
-        let kernels = &self.kernels;
-        let feature_kind = self.config.features;
-        let lvl = simd::level();
+        let width = self.n_features();
         Pool::global().par_map_indexed(ds.len(), |i| {
             let s = &ds.series()[i];
-            let mut f = Vec::with_capacity(kernels.len() * 2);
+            let mut f = vec![0.0; width];
             // One conv-output scratch buffer per series, reused across
             // kernels (it only ever grows to the longest output).
-            let mut scratch = Vec::new();
-            for k in kernels {
-                let (ppv, max) = k.apply(s, &mut scratch, lvl);
-                f.push(ppv);
-                if feature_kind == RocketFeatures::PpvAndMax {
-                    f.push(max);
-                }
-            }
+            self.transform_row(s.as_flat(), s.len(), &mut f, &mut Vec::new());
             f
         })
+    }
+
+    /// Features per series: two per kernel, or one for PPV only.
+    fn n_features(&self) -> usize {
+        match self.config.features {
+            RocketFeatures::PpvAndMax => 2 * self.kernels.len(),
+            RocketFeatures::PpvOnly => self.kernels.len(),
+        }
+    }
+
+    /// Write one series' feature row (kernels in order, PPV then max)
+    /// into `row`, using `conv` as the convolution-output scratch.
+    fn transform_row(&self, s: &[f64], t_len: usize, row: &mut [f64], conv: &mut Vec<f64>) {
+        let lvl = simd::level();
+        for (k, kernel) in self.kernels.iter().enumerate() {
+            let (ppv, max) = kernel.apply(s, t_len, conv, lvl);
+            match self.config.features {
+                RocketFeatures::PpvAndMax => {
+                    row[2 * k] = ppv;
+                    row[2 * k + 1] = max;
+                }
+                RocketFeatures::PpvOnly => row[k] = ppv,
+            }
+        }
     }
 
     /// Number of fitted kernels.
@@ -221,17 +247,65 @@ impl Rocket {
 
     /// Predict from an immutably borrowed fitted model.
     ///
-    /// This is the serving path: the transform and the ridge head only
-    /// read fitted state, so concurrent threads can share one model.
-    /// [`Classifier::predict`] is a thin wrapper around this. Errors
-    /// instead of panicking on an unfitted model.
+    /// The path of [`Self::predict_into`], so offline and served
+    /// predictions are bit-identical, with buffers of its own that are
+    /// freed on return. [`Classifier::predict`] is a thin wrapper around
+    /// this. Errors instead of panicking on an unfitted model.
     pub fn predict_fitted(&self, test: &Dataset) -> Result<Vec<Label>, TsdaError> {
+        let mut labels = Vec::with_capacity(test.len());
+        self.predict_with(test.series(), &mut Vec::new(), &mut Vec::new(), &mut labels)?;
+        Ok(labels)
+    }
+
+    /// Predict `series` into `out` (cleared first), allocating nothing
+    /// once this thread's scratch has grown to the batch: the serving
+    /// path, whose batch size `max_batch` bounds. The scratch keeps the
+    /// capacity of the largest batch this thread has predicted. The
+    /// transform and the ridge head only read fitted state, so
+    /// concurrent threads can share one model.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        let (mut features, mut scores) = BATCH_SCRATCH.take();
+        let predicted = self.predict_with(series, &mut features, &mut scores, out);
+        BATCH_SCRATCH.set((features, scores));
+        predicted
+    }
+
+    /// The one predict path. Each series is imputed and z-normalised
+    /// into per-thread scratch with the arithmetic of
+    /// [`preprocess_dataset`], transformed into its row of `features`
+    /// (a flat `n × n_features` matrix, one pool chunk per series), and
+    /// scored by the ridge head into `scores`, so labels are
+    /// bit-identical to transforming a preprocessed dataset.
+    fn predict_with(
+        &self,
+        series: &[Mts],
+        features: &mut Vec<f64>,
+        scores: &mut Vec<f64>,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
         if self.kernels.is_empty() {
             return Err(TsdaError::InvalidParameter("predict before fit".into()));
         }
-        let clean = preprocess_dataset(test);
-        let features = self.transform(&clean);
-        self.ridge.try_predict_features(&features)
+        out.clear();
+        let width = self.n_features();
+        features.clear();
+        features.resize(series.len() * width, 0.0);
+        Pool::global().par_chunks_mut(features, width, |i, row| {
+            let mut scratch = SERIES_SCRATCH.take();
+            let (clean, conv) = &mut scratch;
+            let s = &series[i];
+            clean.clear();
+            clean.extend_from_slice(s.as_flat());
+            if !s.is_empty() {
+                for dim in clean.chunks_exact_mut(s.len()) {
+                    impute_linear_dim(dim);
+                    znormalize_dim(dim);
+                }
+            }
+            self.transform_row(clean, s.len(), row, conv);
+            SERIES_SCRATCH.set(scratch);
+        });
+        self.ridge.predict_rows_into(features, width, scores, out)
     }
 
     /// Serialise the fitted state (kernels + ridge head) into a

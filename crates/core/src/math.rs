@@ -84,6 +84,22 @@ where
     }
 }
 
+/// Mean and population standard deviation of the observed (non-`NaN`)
+/// values, each a [`sum_stable`] in order; `(0, 0)` when every value is
+/// missing. Allocates nothing: the one copy of the per-dimension
+/// statistics behind [`crate::Mts::dim_mean`], [`crate::Mts::dim_std`]
+/// and [`crate::preprocess::znormalize_dim`].
+pub fn observed_mean_std(values: &[f64]) -> (f64, f64) {
+    let observed = || values.iter().copied().filter(|v| !v.is_nan());
+    let n = observed().count();
+    if n == 0 {
+        return (0.0, 0.0);
+    }
+    let mean = sum_stable(observed()) / n as f64;
+    let var = sum_stable(observed().map(|v| (v - mean) * (v - mean))) / n as f64;
+    (mean, var.sqrt())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,12 @@
 //!   worker runs serially on that worker; nesting (e.g. the bench grid
 //!   parallelising cells whose classifiers parallelise batches) can
 //!   never multiply thread counts.
+//! * **Serial on request.** [`serial`] runs a closure as pool work on
+//!   the calling thread, so every pool call inside it runs there too and
+//!   spawns nothing. For work smaller than a spawn: the serving layer's
+//!   batch calls, where a batch of one or two requests takes 10–300 µs
+//!   and the spawns of a two-chunk call about 45–120 µs (2 vCPUs,
+//!   EXPERIMENTS.md).
 //!
 //! Threads are scoped ([`std::thread::scope`]), so borrowed data flows
 //! in without `'static` bounds and panics propagate to the caller.
@@ -35,8 +41,32 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static DEFAULT_LIMIT: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
-    /// True on threads spawned by a [`Pool`]; nested calls go serial.
+    /// True on threads spawned by a [`Pool`] and inside [`serial`];
+    /// nested calls go serial.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` on the calling thread as pool work: every pool call inside
+/// it sees one worker and runs its chunks in order on this thread.
+/// Outputs are those of any worker count (the determinism rule above).
+///
+/// ```
+/// use tsda_core::parallel::{serial, Pool};
+/// let squares = serial(|| Pool::with_threads(4).par_map_indexed(3, |i| i * i));
+/// assert_eq!(squares, vec![0, 1, 4]);
+/// assert_eq!(Pool::with_threads(4).threads(), 4);
+/// ```
+pub fn serial<R>(f: impl FnOnce() -> R) -> R {
+    /// Puts the flag back as it was, also when `f` unwinds; a pool
+    /// worker calling `serial` stays a worker.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_POOL_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_POOL_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// The process-wide worker-count configuration.
@@ -104,7 +134,7 @@ impl Pool {
     }
 
     /// The worker budget this pool would use right now (1 when called
-    /// from inside another pool worker).
+    /// from inside another pool worker or inside [`serial`]).
     pub fn threads(&self) -> usize {
         if IN_POOL_WORKER.with(Cell::get) {
             return 1;
@@ -243,6 +273,45 @@ mod tests {
             *v = inner.iter().sum();
         });
         assert_eq!(outer[0], (0..8).sum::<usize>());
+    }
+
+    #[test]
+    fn serial_runs_every_chunk_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let mut expected = vec![0usize; 60];
+        for (i, c) in expected.chunks_mut(10).enumerate() {
+            c.fill(i);
+        }
+        for threads in [2, 4, 64] {
+            let pool = Pool::with_threads(threads);
+            let ran_on = std::sync::Mutex::new(Vec::new());
+            let mut out = vec![0usize; 60];
+            let squares = serial(|| {
+                assert_eq!(pool.threads(), 1);
+                pool.par_chunks_mut(&mut out, 10, |i, c| {
+                    c.fill(i);
+                    ran_on.lock().unwrap().push(std::thread::current().id());
+                });
+                pool.par_map_indexed(57, |i| i * i)
+            });
+            assert_eq!(out, expected, "threads = {threads}");
+            assert_eq!(ran_on.into_inner().unwrap(), vec![me; 6], "threads = {threads}");
+            assert_eq!(squares, (0..57).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(pool.threads(), threads, "the flag is cleared on return");
+        }
+    }
+
+    #[test]
+    fn serial_puts_the_flag_back_after_a_panic_and_inside_a_worker() {
+        let panicked = std::panic::catch_unwind(|| serial(|| panic!("batch call panics")));
+        assert!(panicked.is_err());
+        assert_eq!(Pool::with_threads(4).threads(), 4, "the unwind cleared the flag");
+        let mut items = vec![0usize; 8];
+        Pool::with_threads(4).par_for_each_indexed(&mut items, |i, v| {
+            *v = serial(|| i + 1);
+            assert_eq!(Pool::with_threads(4).threads(), 1, "a worker stays a worker");
+        });
+        assert_eq!(items, (1..=8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! by linear interpolation before feeding any classifier.
 
 use crate::dataset::Dataset;
+use crate::math::observed_mean_std;
 use crate::series::Mts;
 
 /// Z-normalise each dimension of a series to zero mean / unit variance
@@ -14,16 +15,22 @@ use crate::series::Mts;
 pub fn znormalize_series(s: &Mts) -> Mts {
     let mut out = s.clone();
     for m in 0..s.n_dims() {
-        let mean = s.dim_mean(m);
-        let std = s.dim_std(m);
-        for v in out.dim_mut(m) {
-            if v.is_nan() {
-                continue;
-            }
-            *v = if std > 0.0 { (*v - mean) / std } else { *v - mean };
-        }
+        znormalize_dim(out.dim_mut(m));
     }
     out
+}
+
+/// [`znormalize_series`] for one dimension, in place and without
+/// allocating: the statistics are those of [`Mts::dim_mean`] and
+/// [`Mts::dim_std`] ([`observed_mean_std`]).
+pub fn znormalize_dim(dim: &mut [f64]) {
+    let (mean, std) = observed_mean_std(dim);
+    for v in dim.iter_mut() {
+        if v.is_nan() {
+            continue;
+        }
+        *v = if std > 0.0 { (*v - mean) / std } else { *v - mean };
+    }
 }
 
 /// Z-normalise every series of a dataset independently.
@@ -40,39 +47,43 @@ pub fn znormalize_dataset(ds: &Dataset) -> Dataset {
 /// the nearest observed value; an all-missing dimension becomes zeros.
 pub fn impute_linear(s: &Mts) -> Mts {
     let mut out = s.clone();
-    let t = s.len();
     for m in 0..s.n_dims() {
-        let dim = out.dim_mut(m);
-        let observed: Vec<usize> = (0..t).filter(|&i| !dim[i].is_nan()).collect();
-        if observed.is_empty() {
-            for v in dim.iter_mut() {
-                *v = 0.0;
-            }
+        impute_linear_dim(out.dim_mut(m));
+    }
+    out
+}
+
+/// [`impute_linear`] for one dimension, in place and without
+/// allocating. Each gap is filled from the observed values on either
+/// side of it, which the fill never overwrites, so the result is that
+/// of interpolating every gap from the original values.
+pub fn impute_linear_dim(dim: &mut [f64]) {
+    let t = dim.len();
+    let mut left: Option<usize> = None;
+    let mut i = 0;
+    while i < t {
+        if !dim[i].is_nan() {
+            left = Some(i);
+            i += 1;
             continue;
         }
-        for i in 0..t {
-            if !dim[i].is_nan() {
-                continue;
-            }
-            // Nearest observed indices on each side.
-            let left = observed.iter().rev().find(|&&j| j < i).copied();
-            let right = observed.iter().find(|&&j| j > i).copied();
-            dim[i] = match (left, right) {
+        // `dim[i..right]` is one gap.
+        let right = (i..t).find(|&j| !dim[j].is_nan());
+        let end = right.unwrap_or(t);
+        for g in i..end {
+            dim[g] = match (left, right) {
                 (Some(l), Some(r)) => {
-                    let w = (i - l) as f64 / (r - l) as f64;
+                    let w = (g - l) as f64 / (r - l) as f64;
                     dim[l] * (1.0 - w) + dim[r] * w
                 }
                 (Some(l), None) => dim[l],
                 (None, Some(r)) => dim[r],
-                // Unreachable — `observed` is non-empty and `i` is not
-                // in it, so one side always exists — but a total match
-                // keeps this library panic-free; 0.0 matches the
-                // all-missing convention above.
+                // An all-missing dimension becomes zeros.
                 (None, None) => 0.0,
             };
         }
+        i = end;
     }
-    out
 }
 
 /// Impute every series of a dataset.

@@ -136,25 +136,13 @@ impl Mts {
 
     /// Mean of dimension `m`, ignoring missing values; 0 if all missing.
     pub fn dim_mean(&self, m: usize) -> f64 {
-        let vals: Vec<f64> = self.dim(m).iter().copied().filter(|v| !v.is_nan()).collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            crate::math::sum_stable(vals.iter().copied()) / vals.len() as f64
-        }
+        crate::math::observed_mean_std(self.dim(m)).0
     }
 
     /// Population standard deviation of dimension `m`, ignoring missing
     /// values.
     pub fn dim_std(&self, m: usize) -> f64 {
-        let vals: Vec<f64> = self.dim(m).iter().copied().filter(|v| !v.is_nan()).collect();
-        if vals.is_empty() {
-            return 0.0;
-        }
-        let mean = crate::math::sum_stable(vals.iter().copied()) / vals.len() as f64;
-        (crate::math::sum_stable(vals.iter().map(|v| (v - mean) * (v - mean)))
-            / vals.len() as f64)
-            .sqrt()
+        crate::math::observed_mean_std(self.dim(m)).1
     }
 
     /// Extract the sub-series covering time steps `[start, end)` in every

@@ -34,9 +34,18 @@ pub struct RidgeSolution {
 impl RidgeSolution {
     /// Predict the `k` outputs for a single feature vector.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.intercepts.len());
+        self.predict_into(x, &mut out);
+        out
+    }
+
+    /// [`Self::predict`] into a caller-owned buffer (cleared first),
+    /// which allocates nothing once `out` holds `k` values.
+    pub fn predict_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.weights.rows(), "predict feature count mismatch");
         let k = self.weights.cols();
-        let mut out = self.intercepts.clone();
+        out.clear();
+        out.extend_from_slice(&self.intercepts);
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
@@ -46,7 +55,6 @@ impl RidgeSolution {
                 out[j] += xi * row[j];
             }
         }
-        out
     }
 
     /// Predict all rows of a feature matrix (`n × p` → `n × k`).

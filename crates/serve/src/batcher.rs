@@ -610,7 +610,8 @@ fn take_ticket<T>(pool: &Arc<TicketPool<T>>, counters: &QueueCounters) -> Arc<Re
 
 /// The one batch worker loop, shared by every lane. It blocks for a
 /// first job, coalesces until `max_batch` jobs or the `max_wait` window
-/// closes, makes the lane's one batch call, and answers every job. A
+/// (opened when that first job was enqueued) closes, makes the lane's
+/// one batch call, and answers every job. A
 /// closed-and-drained ring is the shutdown signal, so a shutting-down
 /// server still answers everything already queued.
 fn lane_loop<P, R>(
@@ -629,7 +630,9 @@ fn lane_loop<P, R>(
     let mut pending: Vec<(Instant, ReplySlot<R>)> = Vec::with_capacity(max_batch);
     let mut results: Vec<R> = Vec::with_capacity(max_batch);
     while let Some(first) = ring.pop_blocking() {
-        let deadline = Instant::now() + config.max_wait;
+        // The window opened when the first job arrived, not when this
+        // worker woke up to take it.
+        let deadline = first.enqueued + config.max_wait;
         let mut next = Some(first);
         while let Some(job) = next {
             batch.push(job.payload);
@@ -922,6 +925,39 @@ mod tests {
         drop(slot);
         let reply = pending.recv();
         assert_eq!(reply.result.unwrap_err(), "server shutting down");
+    }
+
+    #[test]
+    fn flush_window_opens_when_the_first_job_was_enqueued() {
+        // A job already older than `max_wait` when the worker takes it
+        // has waited out its window: it runs at once, not `max_wait`
+        // after the worker woke up.
+        let max_wait = Duration::from_millis(400);
+        let config = BatchConfig { max_batch: 8, max_wait, queue_cap: 4 };
+        let ring = Arc::new(JobRing::with_capacity(4));
+        let pool = TicketPool::<BatchReply>::warm(1);
+        let ticket = pool.take().expect("warm ticket");
+        let enqueued = Instant::now().checked_sub(max_wait).expect("clock is past 400 ms");
+        let reply = ReplySlot { ticket: Arc::clone(&ticket), sent: false };
+        assert!(ring.offer(Job { payload: 7usize, enqueued, reply }).is_ok());
+        let pending = PendingReply { ticket, pool };
+        let stats = Arc::new(ServerStats::new());
+        let worker = {
+            let (ring, stats) = (Arc::clone(&ring), Arc::clone(&stats));
+            std::thread::spawn(move || {
+                lane_loop(&ring, config, &stats, None, |batch: &[usize], out: &mut Vec<usize>| {
+                    out.extend_from_slice(batch);
+                    Ok(())
+                })
+            })
+        };
+        let waited = Instant::now();
+        let reply = pending.recv();
+        let waited = waited.elapsed();
+        ring.close();
+        worker.join().expect("lane worker exits");
+        assert_eq!(reply.result, Ok(7));
+        assert!(waited < max_wait / 2, "answered after {waited:?}, not at once");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use tsda_classify::persist::SavedModel;
 use tsda_classify::{InceptionTime, MiniRocket, RidgeClassifier, Rocket};
+use tsda_core::parallel;
 use tsda_core::{Dataset, Label, Mts, TsdaError};
 
 enum ModelInner {
@@ -130,8 +131,11 @@ impl ModelEntry {
 
     /// Run one batched prediction into a caller-owned label buffer, so
     /// a batch worker's steady state reuses one allocation across
-    /// batches. All series must already satisfy [`Self::validate`]; the
-    /// batch shares a single transform/forward pass on the compute pool.
+    /// batches; a warm ROCKET batch allocates nothing at all. All series
+    /// must already satisfy [`Self::validate`]; the batch shares a
+    /// single transform/forward pass, which runs on the calling thread
+    /// ([`parallel::serial`]): a serving-size batch takes less time than
+    /// the thread spawns the pool would make for it.
     /// Per-series results are independent of the batch composition, so
     /// each label is bit-identical to what offline
     /// `Classifier::predict` returns for that series alone. `out` is
@@ -145,8 +149,13 @@ impl ModelEntry {
         if series.is_empty() {
             return Ok(());
         }
+        parallel::serial(|| self.predict_serial(series, out))
+    }
+
+    /// [`Self::predict_batch_into`]'s model call, for a non-empty batch.
+    fn predict_serial(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
         let labels = match &self.inner {
-            ModelInner::Rocket(m) => m.predict_fitted(&self.to_dataset(series))?,
+            ModelInner::Rocket(m) => return m.predict_into(series, out),
             ModelInner::MiniRocket(m) => m.predict_fitted(&self.to_dataset(series))?,
             ModelInner::Ridge(m) => {
                 let rows: Vec<Vec<f64>> =
@@ -157,8 +166,8 @@ impl ModelEntry {
                 let ds = self.to_dataset(series);
                 // lock-order: the model mutex is a leaf lock. predict
                 // needs `&mut` (buffer reuse inside the network), so the
-                // guard spans the forward pass — pure compute on the
-                // deterministic pool, no IO and no other lock (L2-clean
+                // guard spans the forward pass — pure compute on this
+                // thread, no IO and no other lock (L2-clean
                 // by the blocking-reachability check).
                 let mut guard = m.lock().map_err(|_| {
                     TsdaError::Numerical("inception model poisoned by a panicked batch".into())

@@ -6,6 +6,8 @@
 //! the process (connection side, ring, ticket pool, worker scratch,
 //! stub predict). A second phase holds the NDJSON augment reply
 //! encoder to the same rule: a warm reply buffer takes a whole series.
+//! A third holds a real model to it: a ROCKET model fitted, saved and
+//! loaded as the server does predicts warm batches of 1 and 2.
 //!
 //! Everything lives in one `#[test]` on purpose: the counter is
 //! process-global, and sibling tests in the same binary would run on
@@ -15,7 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tsda_core::Mts;
+use tsda_classify::persist::{load_model_bytes, SavedModel};
+use tsda_classify::{Classifier, Rocket, RocketConfig};
+use tsda_core::rng::seeded;
+use tsda_core::{Dataset, Mts};
 use tsda_serve::batcher::{BatchConfig, Batcher};
 use tsda_serve::{protocol, ModelEntry, ModelRegistry, PipelineRegistry, ServerStats};
 
@@ -128,4 +133,32 @@ fn warm_batcher_answers_requests_without_allocating() {
     }
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(during, 0, "a warm augment reply must not allocate ({during} allocations)");
+
+    // Served ROCKET on a 3×30 two-class problem.
+    let mut train = Dataset::empty(2);
+    for i in 0..16 {
+        let freq = if i % 2 == 0 { 0.3 } else { 0.9 };
+        let dims = (0..3)
+            .map(|d| (0..30).map(|t| (t as f64 * freq + d as f64 + i as f64 * 0.1).sin()).collect())
+            .collect();
+        train.push(Mts::from_dims(dims), i % 2);
+    }
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
+    rocket.fit(&train, None, &mut seeded(5));
+    let offline = rocket.predict(&train);
+    let mut saved = SavedModel::Rocket(rocket);
+    let loaded = load_model_bytes(&saved.save_bytes().expect("save")).expect("load");
+    let entry = ModelEntry::from_saved("rocket", loaded, None).expect("fitted model");
+    let batches: Vec<&[Mts]> = (0..8).flat_map(|i| [&train.series()[i..=i], &train.series()[i..i + 2]]).collect();
+    let mut labels = Vec::with_capacity(2);
+    for batch in &batches {
+        entry.predict_batch_into(batch, &mut labels).expect("predict");
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for (i, batch) in batches.iter().enumerate() {
+        entry.predict_batch_into(batch, &mut labels).expect("predict");
+        assert_eq!(labels, offline[i / 2..i / 2 + batch.len()]);
+    }
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(during, 0, "a warm served ROCKET predict must not allocate ({during} allocations)");
 }

@@ -15,9 +15,15 @@ ratio to the parent, how many same-seed pairs the change wins, and
 whether the change's median stays within the metric's regression
 bound, and whether each side's spread (q3 - q1) stays within the same
 bound taken as a share of the parent's median: a change whose runs
-spread wider than that cannot be told apart from the parent. Traced
-runs give, per workload and side, the median over runs of the
-per-layer metrics and of the latency decomposition.
+spread wider than that cannot be told apart from the parent. The last
+column applies the claim rule: a gain "holds" when the change wins at
+least 9 in 10 of the pairs (ties count for neither side) and its median
+is better than the parent's by more than the parent's q3 - q1; it is
+"unresolved" when either side's spread exceeds the bound, and "no"
+otherwise. Traced runs give, per workload and side, the median over
+runs of the per-layer metrics and of the latency decomposition. Runs of
+gr-offline, which BENCHMARK.json does not gate, give each run's value of
+a few metrics, in seed order.
 """
 
 import json
@@ -28,6 +34,7 @@ import sys
 TRACED = [
     "batcher.queue_wait_us",
     "batcher.batch_mean",
+    "model.rocket.b2_us",
     "wire.req_decode_us",
     "wire.reply_decode_us",
     "wire.reply_encode_us",
@@ -42,6 +49,13 @@ LANE_REPLAY = {
     "predict-closed": "model.rocket.b1_us",
     "augment-ndjson": "augment.apply_us",
     "predict-router": "model.inception.b1_us",
+}
+
+
+# Ungated workloads: (trace, metric) pairs listed run by run.
+UNGATED = {
+    "gr-offline": [(0, "latency_p50_us"), (0, "throughput_rps"),
+                   (1, "pool.transform_speedup"), (1, "gr.transform_s")],
 }
 
 
@@ -60,8 +74,9 @@ def main(path):
         runs = [json.loads(line) for line in f if line.strip()]
 
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change / parent | change wins | within bound | spread, parent / change / bound |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| change / parent | change wins | within bound | spread, parent / change / bound "
+          "| gain claim |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for workload in (w["name"] for w in bench["workloads"]):
         plain = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
         if not plain:
@@ -70,6 +85,8 @@ def main(path):
             name, lower = metric["name"], metric["better"] == "lower"
             side = {s: {r["seed"]: r["result"]["metrics"][name]["value"]
                         for r in plain if r["side"] == s} for s in ("parent", "change")}
+            if not side["parent"] or not side["change"]:
+                continue
             p1, pm, p3 = quartiles(sorted(side["parent"].values()))
             c1, cm, c3 = quartiles(sorted(side["change"].values()))
             seeds = sorted(set(side["parent"]) & set(side["change"]))
@@ -78,12 +95,36 @@ def main(path):
             worse = (cm - pm) / pm if lower else (pm - cm) / pm
             bound = metric["bound"] * pm
             steady = p3 - p1 <= bound and c3 - c1 <= bound
+            gain = (pm - cm) if lower else (cm - pm)
+            if not steady:
+                claim = "unresolved"
+            elif seeds and wins >= 0.9 * len(seeds) and gain > p3 - p1:
+                claim = "holds"
+            else:
+                claim = "no"
             print(f"| {workload} | `{name}` | {pm:.4g} [{p1:.4g}, {p3:.4g}] "
                   f"| {cm:.4g} [{c1:.4g}, {c3:.4g}] | {cm / pm:.3f} "
                   f"| {wins} of {len(seeds)} | {'yes' if worse <= metric['bound'] else 'NO'} "
-                  f"| {p3 - p1:.3g} / {c3 - c1:.3g} / {bound:.3g} {'' if steady else 'WIDE'} |")
+                  f"| {p3 - p1:.3g} / {c3 - c1:.3g} / {bound:.3g} {'' if steady else 'WIDE'} "
+                  f"| {claim} |")
 
-    traced = [r for r in runs if r["trace"] == 1]
+    for workload, metrics in UNGATED.items():
+        if not any(r["workload"] == workload for r in runs):
+            continue
+        print()
+        print("| workload | metric | parent runs | change runs |")
+        print("|---|---|---|---|")
+        for trace, name in metrics:
+            cells = []
+            for side in ("parent", "change"):
+                group = sorted((r for r in runs if r["workload"] == workload
+                                and r["trace"] == trace and r["side"] == side),
+                               key=lambda r: r["seed"])
+                cells.append(", ".join(f"{r['result']['metrics'][name]['value']:.4g}"
+                                       for r in group) or "–")
+            print(f"| {workload} | `{name}` | {cells[0]} | {cells[1]} |")
+
+    traced = [r for r in runs if r["trace"] == 1 and r["workload"] in LANE_REPLAY]
     if not traced:
         return
     groups = []
