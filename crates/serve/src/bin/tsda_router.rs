@@ -124,7 +124,8 @@ fn parse_args() -> Result<Args, String> {
                      \x20                  [--seed S] [--dir MODELDIR] [--fast] [--shard]\n\
                      \x20                  [--route least-loaded|hash] [--quota-rps R]\n\
                      \x20                  [--quota-burst B] [--max-batch N] [--max-wait-ms MS]\n\
-                     \x20                  [--queue-cap N] [--serve-bin PATH] [--max-seconds S]"
+                     \x20                  [--queue-cap N] [--serve-bin PATH] [--max-seconds S]\n\
+                     \x20                  [--pipelines PIPELINES.toml]"
                 );
                 std::process::exit(0);
             }

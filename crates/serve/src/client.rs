@@ -1,9 +1,9 @@
 //! Client-side plumbing: connections, request builders, the readiness
 //! probe, and a retrying client that survives fault injection.
 //!
-//! [`Conn`] is the raw one-request-in-flight connection the load
-//! generator uses on the happy path. [`RetryingClient`] wraps it with
-//! the recovery policy the chaos suites (and any real client) need:
+//! [`Conn`] is a raw one-request-in-flight connection with no recovery.
+//! [`RetryingClient`] wraps it with the recovery policy the chaos
+//! suites (and any real client) need:
 //!
 //! * **Per-request timeouts** — a read that exceeds
 //!   [`RetryPolicy::timeout`] abandons the connection rather than
@@ -61,14 +61,6 @@ impl Proto {
             other => Err(format!("unknown protocol {other:?} (expected ndjson|v2)")),
         }
     }
-
-    /// The canonical flag spelling (for bench rows and logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Ndjson => "ndjson",
-            Self::V2 => "v2",
-        }
-    }
 }
 
 /// Build a request line from an op and extra fields.
@@ -120,13 +112,9 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Connect; `timeout` bounds every read and write on the socket.
-    pub fn open_with_timeout(addr: &str, timeout: Option<Duration>) -> Result<Self, String> {
-        Self::open_proto(addr, timeout, Proto::Ndjson)
-    }
-
-    /// Connect speaking `proto`. A v2 connection announces itself by
-    /// writing the 4-byte preamble before anything else.
+    /// Connect speaking `proto`; `timeout` bounds every read and write
+    /// on the socket. A v2 connection announces itself by writing the
+    /// 4-byte preamble before anything else.
     pub fn open_proto(
         addr: &str,
         timeout: Option<Duration>,
@@ -275,7 +263,7 @@ pub fn wait_ready(addr: &str, secs: u64) -> Result<(), String> {
     let probe_timeout = Some(Duration::from_secs(2));
     let mut last;
     loop {
-        match Conn::open_with_timeout(addr, probe_timeout)
+        match Conn::open_proto(addr, probe_timeout, Proto::Ndjson)
             .and_then(|mut c| c.round_trip(&request_line(1, "ping", vec![])))
         {
             Ok(r) if r.ok => return Ok(()),

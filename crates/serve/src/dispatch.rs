@@ -34,7 +34,7 @@ pub enum Request<S> {
         /// The series.
         series: S,
     },
-    /// Server-side counters (uptime, throughput, latency, batch sizes).
+    /// Server-side counters (uptime, request and batch counts, latency).
     Stats {
         /// Correlation id.
         id: u64,

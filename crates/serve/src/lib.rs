@@ -42,9 +42,9 @@
 //!
 //! Three binaries drive it: `tsda_serve` (train-or-load models, then
 //! serve; `--fault-seed` arms the plan), `tsda_router` (the replica
-//! fleet frontend), and `tsda_client` (single requests, readiness
-//! probe, or a closed-loop load generator that writes
-//! `BENCH_serve.json`).
+//! fleet frontend), and `tsda_client` (a readiness probe, a `stats`
+//! reader and a one-shot predict). Load runs belong to the benchmark
+//! in `perfbench/`.
 
 pub mod admission;
 pub mod batcher;

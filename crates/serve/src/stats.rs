@@ -5,14 +5,14 @@
 //! counters, so recording from connection handlers and batch workers
 //! never takes a lock. Pure log₂ buckets proved too coarse in
 //! practice: with whole-octave resolution every latency between 4.1 ms
-//! and 8.2 ms lands in one bucket, which is how `BENCH_serve.json`
-//! shipped `request_p50_us == request_p99_us == 8192`. Each octave is
+//! and 8.2 ms lands in one bucket, so a snapshot could report
+//! `request_p50_us == request_p99_us == 8192`. Each octave is
 //! therefore split into [`SUB_BUCKETS`] linear sub-buckets (the
 //! HdrHistogram layout), bounding the relative error of any reported
 //! percentile at `1/SUB_BUCKETS` ≈ 3%. Values below [`SUB_BUCKETS`]
 //! are exact. Percentiles are upper bounds of the matched sub-bucket;
-//! the load generator still computes exact percentiles client-side
-//! from its own samples for `BENCH_serve.json`.
+//! exact client-side percentiles come from the benchmark
+//! (`perfbench/`), which times every request itself.
 
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,20 +171,17 @@ impl ServerStats {
 
     /// Point-in-time snapshot of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let uptime_s = self.started.elapsed().as_secs_f64();
-        let requests = self.requests.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         let batched_items = self.batched_items.load(Ordering::Relaxed);
         StatsSnapshot {
-            uptime_s,
-            requests,
+            uptime_s: self.started.elapsed().as_secs_f64(),
+            requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             throttled: self.throttled.load(Ordering::Relaxed),
             batches,
             batched_items,
             mean_batch: if batches == 0 { 0.0 } else { batched_items as f64 / batches as f64 },
-            requests_per_s: if uptime_s > 0.0 { requests as f64 / uptime_s } else { 0.0 },
             request_p50_us: self.request_latency.percentile(0.50),
             request_p99_us: self.request_latency.percentile(0.99),
             request_mean_us: self.request_latency.mean(),
@@ -212,8 +209,6 @@ pub struct StatsSnapshot {
     pub batched_items: u64,
     /// Mean batch size (`batched_items / batches`).
     pub mean_batch: f64,
-    /// Predict requests per second since start.
-    pub requests_per_s: f64,
     /// Approximate p50 request latency, microseconds.
     pub request_p50_us: u64,
     /// Approximate p99 request latency, microseconds.
@@ -251,8 +246,8 @@ mod tests {
 
     #[test]
     fn sub_buckets_separate_values_one_octave_apart_reported_identically_before() {
-        // The committed BENCH_serve.json regression: 5880 µs and
-        // 9727 µs both reported as 8192 under whole-octave buckets.
+        // The whole-octave regression: 5880 µs and 9727 µs both
+        // reported as 8192.
         assert_ne!(bucket_index(5880), bucket_index(9727));
         let h = LatencyHistogram::default();
         h.record(5880);

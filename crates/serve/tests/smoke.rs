@@ -57,8 +57,10 @@ fn request_line(id: u64, op: &str, extra: &[(&str, &str)]) -> String {
     serde_json::to_string(&Value::Object(pairs)).unwrap()
 }
 
-/// Send every request line first, then read every response: pipelining
-/// lets the micro-batcher coalesce requests from one connection too.
+/// Send every request line first, then read every response. The
+/// server still answers a connection one request at a time, so requests
+/// on one connection never share a batch; batches form across the
+/// concurrent connections.
 fn pipeline(addr: &str, lines: &[String]) -> Vec<Response> {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).ok();
