@@ -26,7 +26,10 @@
 //! sizes (`rocket_predict`, `inception_predict`: RacketSports, the
 //! `tsda_serve --fast` configurations, through
 //! `ModelEntry::predict_batch_into`, which runs on the calling thread
-//! at any worker count, as a serving lane runs it). `--check` keys rows by
+//! at any worker count, as a serving lane runs it). Two 1-thread rows
+//! time the cold-start path: `crc32` over 64 KiB (every model file and
+//! v2 frame is checksummed) and `model_load`, `load_model_bytes` over
+//! the served ROCKET's saved bytes. `--check` keys rows by
 //! `(op, size, threads)` and fails when a current row exceeds its
 //! baseline by more than the tolerance *or* when the row sets drift
 //! apart (a missing row means the contract silently stopped covering
@@ -42,9 +45,10 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tsda_augment::basic::time::Scaling;
 use tsda_augment::SeriesTransform;
-use tsda_classify::persist::SavedModel;
+use tsda_classify::persist::{load_model_bytes, SavedModel};
 use tsda_classify::rocket::{Rocket, RocketConfig};
 use tsda_classify::{dtw_distance_matrix, Classifier, InceptionTime, InceptionTimeConfig};
+use tsda_core::codec::crc32;
 use tsda_core::parallel::{Pool, ThreadLimit};
 use tsda_core::rng::{normal, seeded};
 use tsda_core::{Dataset, Mts};
@@ -134,7 +138,16 @@ fn random_dataset(n: usize, dims: usize, len: usize, seed: u64) -> Dataset {
 
 /// The served models of `tsda_serve --fast`, trained on RacketSports
 /// and registered as the server registers them.
-fn served_models() -> (ModelEntry, ModelEntry, Vec<Mts>) {
+struct Served {
+    rocket: ModelEntry,
+    inception: ModelEntry,
+    /// Two test series: the batch inputs.
+    series: Vec<Mts>,
+    /// The ROCKET model's saved file, as `tsda_serve --dir` writes it.
+    rocket_file: Vec<u8>,
+}
+
+fn served_models() -> Served {
     let data = generate(DatasetMeta::get(DatasetId::RacketSports), &GenOptions::ci(7));
     let mut rocket = Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
     rocket.fit(&data.train, None, &mut seeded(23));
@@ -148,12 +161,14 @@ fn served_models() -> (ModelEntry, ModelEntry, Vec<Mts>) {
         use_lr_range_test: false,
     });
     inception.fit(&data.train, None, &mut seeded(24));
+    let rocket_file = rocket.save_bytes().expect("save the fitted ROCKET");
     let entry = |name, model| ModelEntry::from_saved(name, model, None).expect("fitted model");
-    (
-        entry("rocket", SavedModel::Rocket(rocket)),
-        entry("inception", SavedModel::InceptionTime(inception)),
-        data.test.series()[..2].to_vec(),
-    )
+    Served {
+        rocket: entry("rocket", SavedModel::Rocket(rocket)),
+        inception: entry("inception", SavedModel::InceptionTime(inception)),
+        series: data.test.series()[..2].to_vec(),
+        rocket_file,
+    }
 }
 
 /// Worker counts the parallel-sensitive ops are measured at.
@@ -203,7 +218,7 @@ fn scaling(
 /// worker never pays, at 2 and 4. Returns `(conv_fwd_gemm,
 /// conv_fwd_ref, mm_tiled, mm_naive)` at 1 thread for the headline
 /// speedups.
-fn bench(served: &(ModelEntry, ModelEntry, Vec<Mts>), rows: &mut Vec<Row>) -> (f64, f64, f64, f64) {
+fn bench(served: &Served, rows: &mut Vec<Row>) -> (f64, f64, f64, f64) {
     ThreadLimit::set(1);
 
     // Conv1d forward/backward: InceptionTime-module scale, batch 16.
@@ -270,9 +285,9 @@ fn bench(served: &(ModelEntry, ModelEntry, Vec<Mts>), rows: &mut Vec<Row>) -> (f
 
     // The served models' batch calls at serving batch sizes, on the
     // calling thread whatever the pinned count.
-    let (rocket_entry, inception_entry, series) = served;
+    let series = &served.series;
     let mut labels = Vec::with_capacity(series.len());
-    for (op, entry) in [("rocket_predict", rocket_entry), ("inception_predict", inception_entry)] {
+    for (op, entry) in [("rocket_predict", &served.rocket), ("inception_predict", &served.inception)] {
         for b in 1..=series.len() {
             scaling(rows, op, &format!("RacketSports b{b}"), &SCALING_THREADS, || {
                 entry.predict_batch_into(&series[..b], &mut labels).expect("served predict");
@@ -309,6 +324,19 @@ fn bench(served: &(ModelEntry, ModelEntry, Vec<Mts>), rows: &mut Vec<Row>) -> (f
         std::hint::black_box(scaler.transform(&series, &mut aug_rng));
     });
     push(rows, "aug_scaling", "3 dims x 4096", 1, aug_ns);
+
+    // Cold start: the checksum over a model-file-sized block, and the
+    // served ROCKET's load from its saved bytes (parse, checksum,
+    // decode).
+    let block: Vec<u8> = (0..64 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    let crc_ns = time_ns(|| {
+        std::hint::black_box(crc32(std::hint::black_box(&block)));
+    });
+    push(rows, "crc32", "64 KiB", 1, crc_ns);
+    let load_ns = time_ns(|| {
+        std::hint::black_box(load_model_bytes(&served.rocket_file).expect("load the saved ROCKET"));
+    });
+    push(rows, "model_load", "RacketSports 200 kernels", 1, load_ns);
 
     (fwd_gemm, fwd_ref, mm_tiled, mm_naive)
 }

@@ -442,7 +442,12 @@ impl InceptionTime {
     /// running-statistics buffer is overwritten with the stored bits, so
     /// eval-mode predictions are bit-identical to the saved model.
     pub fn load_bytes(bytes: &[u8]) -> Result<Self, TsdaError> {
-        let r = CodecReader::parse(bytes)?;
+        Self::load_codec(&CodecReader::parse(bytes)?)
+    }
+
+    /// Rebuild from an already-parsed, checksum-verified container
+    /// (the kind dispatch in [`crate::persist`] parses once).
+    pub(crate) fn load_codec(r: &CodecReader) -> Result<Self, TsdaError> {
         r.expect_kind(INCEPTION_KIND)?;
         let mut c = ByteReader::new(r.section("config")?);
         let config = InceptionTimeConfig {

@@ -173,7 +173,12 @@ impl MiniRocket {
 
     /// Rebuild a fitted model from [`Self::save_bytes`] output.
     pub fn load_bytes(bytes: &[u8]) -> Result<Self, TsdaError> {
-        let r = CodecReader::parse(bytes)?;
+        Self::load_codec(&CodecReader::parse(bytes)?)
+    }
+
+    /// Rebuild from an already-parsed, checksum-verified container
+    /// (the kind dispatch in [`crate::persist`] parses once).
+    pub(crate) fn load_codec(r: &CodecReader) -> Result<Self, TsdaError> {
         r.expect_kind(MINIROCKET_KIND)?;
         let mut cfg = ByteReader::new(r.section("config")?);
         let n_features = cfg.usize()?;

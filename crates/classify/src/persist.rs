@@ -61,13 +61,15 @@ impl SavedModel {
 }
 
 /// Load a model from serialised bytes, dispatching on the kind tag.
+/// The container is parsed and checksummed once; the kind's decoder
+/// reads the parsed sections.
 pub fn load_model_bytes(bytes: &[u8]) -> Result<SavedModel, TsdaError> {
-    let kind = CodecReader::parse(bytes)?.kind().to_string();
-    match kind.as_str() {
-        ROCKET_KIND => Rocket::load_bytes(bytes).map(SavedModel::Rocket),
-        MINIROCKET_KIND => MiniRocket::load_bytes(bytes).map(SavedModel::MiniRocket),
-        RIDGE_KIND => RidgeClassifier::load_bytes(bytes).map(SavedModel::Ridge),
-        INCEPTION_KIND => InceptionTime::load_bytes(bytes).map(SavedModel::InceptionTime),
+    let r = CodecReader::parse(bytes)?;
+    match r.kind() {
+        ROCKET_KIND => Rocket::load_codec(&r).map(SavedModel::Rocket),
+        MINIROCKET_KIND => MiniRocket::load_codec(&r).map(SavedModel::MiniRocket),
+        RIDGE_KIND => RidgeClassifier::load_codec(&r).map(SavedModel::Ridge),
+        INCEPTION_KIND => InceptionTime::load_codec(&r).map(SavedModel::InceptionTime),
         other => Err(TsdaError::Codec(format!("unknown model kind {other:?}"))),
     }
 }

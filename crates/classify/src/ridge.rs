@@ -181,12 +181,12 @@ impl RidgeClassifier {
 
     /// Rebuild a fitted classifier from [`Self::save_bytes`] output.
     pub fn load_bytes(bytes: &[u8]) -> Result<Self, TsdaError> {
-        let r = CodecReader::parse(bytes)?;
-        Self::load_codec(&r)
+        Self::load_codec(&CodecReader::parse(bytes)?)
     }
 
-    /// Rebuild from an already-parsed container (used when the ridge
-    /// state is nested inside a ROCKET/MiniRocket file).
+    /// Rebuild from an already-parsed container (used by the kind
+    /// dispatch in [`crate::persist`], and when the ridge state is
+    /// nested inside a ROCKET/MiniRocket file).
     pub(crate) fn load_codec(r: &CodecReader) -> Result<Self, TsdaError> {
         r.expect_kind(RIDGE_KIND)?;
         let mut meta = ByteReader::new(r.section("meta")?);

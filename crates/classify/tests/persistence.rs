@@ -8,7 +8,7 @@ use tsda_classify::{
     Classifier, InceptionTime, InceptionTimeConfig, MiniRocket, MiniRocketConfig, RidgeClassifier,
     Rocket, RocketConfig,
 };
-use tsda_core::codec::{CodecReader, CodecWriter};
+use tsda_core::codec::{crc32, CodecReader, CodecWriter};
 use tsda_core::rng::seeded;
 use tsda_core::{Dataset, Mts};
 use tsda_neuro::train::TrainConfig;
@@ -131,6 +131,30 @@ fn every_single_byte_corruption_is_an_error_not_a_panic() {
             "flipping byte {i} of {} was not detected",
             bytes.len()
         );
+    }
+}
+
+#[test]
+fn a_corrupt_nested_ridge_section_fails_its_own_checksum() {
+    let (train, _) = toy_problem(12, 6);
+    let mut m = Rocket::new(RocketConfig { n_kernels: 12, ..RocketConfig::default() });
+    m.fit(&train, None, &mut seeded(13));
+    let mut bytes = SavedModel::Rocket(m).save_bytes().unwrap();
+    // The ridge head is the last section, so its payload (itself a
+    // checksummed container) ends where the outer trailer begins.
+    let ridge_len = CodecReader::parse(&bytes).unwrap().section("ridge").unwrap().len();
+    let body_len = bytes.len() - 4;
+    bytes[body_len - ridge_len / 2] ^= 0x10;
+    // Re-seal the outer trailer so only the nested checksum can notice.
+    let crc = crc32(&bytes[..body_len]).to_le_bytes();
+    bytes[body_len..].copy_from_slice(&crc);
+    assert!(CodecReader::parse(&bytes).is_ok(), "the outer container must verify");
+    for (loader, err) in [
+        ("load_model_bytes", load_model_bytes(&bytes).err()),
+        ("Rocket::load_bytes", Rocket::load_bytes(&bytes).err()),
+    ] {
+        let err = err.unwrap_or_else(|| panic!("{loader} accepted a corrupt ridge head"));
+        assert!(err.to_string().contains("checksum mismatch"), "{loader}: {err}");
     }
 }
 

@@ -6,12 +6,16 @@
 //!             --route least-loaded --quota-rps 500
 //! ```
 //!
-//! The router first runs the serve binary once with `--max-seconds 0`
-//! so every model is trained and saved into `--dir`, then spawns
-//! `--replicas` server processes that all load those exact files —
-//! replicas are byte-for-byte the same models, so routing policy can
-//! never change a label. With `--shard`, models are partitioned
-//! round-robin across replicas instead of replicated everywhere.
+//! When a `--models` entry has no `<dir>/<model>.tsda` yet, the router
+//! first runs the serve binary once with `--max-seconds 0` so every
+//! model is trained and saved into `--dir` (one process, so `--shard`
+//! replicas never race on a save); when every file is there it skips
+//! that pass. It then spawns `--replicas` server processes together,
+//! and they all load those exact files — replicas are byte-for-byte
+//! the same models, so routing policy can never change a label. A
+//! replica that loads its models from disk never generates the
+//! dataset. With `--shard`, models are partitioned round-robin across
+//! replicas instead of replicated everywhere.
 //!
 //! Replicas bind ephemeral ports; the router learns each address from
 //! the `listening on <addr>` readiness line, health-checks the fleet,
@@ -20,6 +24,7 @@
 
 use std::time::{Duration, Instant};
 use tsda_serve::admission::AdmissionConfig;
+use tsda_serve::registry::model_path;
 use tsda_serve::router::{ReplicaSpec, RoutePolicy, Router, RouterConfig};
 use tsda_serve::signal;
 
@@ -155,11 +160,20 @@ fn serve_bin_path(args: &Args) -> Result<String, String> {
     Err(format!("tsda_serve not found at {sibling:?}; pass --serve-bin PATH"))
 }
 
-/// One warm-up run of the serve binary with `--max-seconds 0`: trains
-/// every model (unless `--dir` already holds it) and exits, so the
-/// replicas spawned next all load identical bytes instead of each
-/// training its own copy.
+/// One warm-up run of the serve binary with `--max-seconds 0`, when
+/// some model has no file in `--dir` yet: it trains every missing model,
+/// saves it and exits, so the replicas spawned next all load identical
+/// bytes instead of each training its own copy.
 fn pretrain(bin: &str, args: &Args) -> Result<(), String> {
+    let missing: Vec<&str> = args
+        .models
+        .iter()
+        .filter(|m| !model_path(&args.dir, m).exists())
+        .map(String::as_str)
+        .collect();
+    if missing.is_empty() {
+        return Ok(());
+    }
     let mut cmd = std::process::Command::new(bin);
     cmd.args([
         "--addr",
@@ -184,7 +198,12 @@ fn pretrain(bin: &str, args: &Args) -> Result<(), String> {
     if !status.success() {
         return Err(format!("pretrain run failed ({status})"));
     }
-    eprintln!("pretrain pass done in {:.1}s (models in {})", t0.elapsed().as_secs_f64(), args.dir);
+    eprintln!(
+        "pretrain pass for [{}] done in {:.1}s (models in {})",
+        missing.join(", "),
+        t0.elapsed().as_secs_f64(),
+        args.dir
+    );
     Ok(())
 }
 

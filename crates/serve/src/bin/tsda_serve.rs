@@ -8,7 +8,10 @@
 //! For each requested model the bin loads `<dir>/<model>.tsda` when the
 //! file exists, otherwise trains on the named simulated dataset
 //! (laptop-scale `GenOptions::ci(seed)`) and saves it there, so restarts
-//! reuse the fitted model byte-for-byte. SIGINT/SIGTERM flip the
+//! reuse the fitted model byte-for-byte. The dataset is generated only
+//! to train a model or to give a `ridge` model its input shape: a start
+//! that loads ROCKET, MiniRocket or InceptionTime from `--dir` never
+//! synthesises it. SIGINT/SIGTERM flip the
 //! shutdown flag; the server drains every accepted request, prints a
 //! final stats snapshot, and exits 0.
 //!
@@ -18,6 +21,7 @@
 //! shedding — and prints the per-kind injection log at shutdown.
 //! Seed 0 keeps faults off.
 
+use std::cell::OnceCell;
 use std::time::{Duration, Instant};
 use tsda_classify::persist::{load_model, save_model, SavedModel};
 use tsda_classify::{
@@ -33,7 +37,7 @@ use tsda_serve::admission::AdmissionConfig;
 use tsda_serve::batcher::BatchConfig;
 use tsda_serve::faults::FaultPlan;
 use tsda_serve::pipelines::PipelineRegistry;
-use tsda_serve::registry::{ModelEntry, ModelRegistry};
+use tsda_serve::registry::{model_path, ModelEntry, ModelRegistry};
 use tsda_serve::server::{serve, ServerConfig};
 use tsda_serve::signal;
 
@@ -156,6 +160,28 @@ fn dataset_meta(name: &str) -> Result<&'static DatasetMeta, String> {
         .ok_or_else(|| format!("unknown dataset {name:?}"))
 }
 
+/// The `--dataset` training split, generated on first use.
+struct TrainingData {
+    meta: &'static DatasetMeta,
+    seed: u64,
+    train: OnceCell<Dataset>,
+}
+
+impl TrainingData {
+    fn train_split(&self) -> &Dataset {
+        self.train.get_or_init(|| {
+            eprintln!("generating dataset {} (seed {})", self.meta.name, self.seed);
+            generate(self.meta, &GenOptions::ci(self.seed)).train
+        })
+    }
+
+    /// `(n_dims, series_len)` of the training series.
+    fn series_shape(&self) -> (usize, usize) {
+        let s = &self.train_split().series()[0];
+        (s.n_dims(), s.len())
+    }
+}
+
 fn flatten(ds: &Dataset) -> Vec<Vec<f64>> {
     ds.series().iter().map(|s| s.as_flat().to_vec()).collect()
 }
@@ -212,32 +238,32 @@ fn train_model(kind: &str, train: &Dataset, fast: bool, seed: u64) -> Result<Sav
 fn obtain_model(
     kind: &str,
     dir: Option<&str>,
-    train: &Dataset,
+    data: &TrainingData,
     fast: bool,
     seed: u64,
 ) -> Result<SavedModel, String> {
-    let path = dir.map(|d| format!("{d}/{kind}.tsda"));
+    let path = dir.map(|d| model_path(d, kind));
     if let Some(p) = &path {
-        if std::path::Path::new(p).exists() {
-            let model =
-                load_model(std::path::Path::new(p)).map_err(|e| format!("load {p}: {e}"))?;
+        if p.exists() {
+            let shown = p.display();
+            let model = load_model(p).map_err(|e| format!("load {shown}: {e}"))?;
             if model.kind() != tsda_kind(kind) {
-                return Err(format!("{p} holds a {:?} model, expected {kind}", model.kind()));
+                return Err(format!("{shown} holds a {:?} model, expected {kind}", model.kind()));
             }
-            eprintln!("loaded {kind} from {p}");
+            eprintln!("loaded {kind} from {shown}");
             return Ok(model);
         }
     }
     let t0 = Instant::now();
-    let mut model = train_model(kind, train, fast, seed)?;
+    let mut model = train_model(kind, data.train_split(), fast, seed)?;
     eprintln!("trained {kind} in {:.1}s", t0.elapsed().as_secs_f64());
     if let Some(p) = &path {
-        if let Some(parent) = std::path::Path::new(p).parent() {
+        let shown = p.display();
+        if let Some(parent) = p.parent() {
             std::fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
         }
-        save_model(&mut model, std::path::Path::new(p))
-            .map_err(|e| format!("save {p}: {e}"))?;
-        eprintln!("saved {kind} to {p}");
+        save_model(&mut model, p).map_err(|e| format!("save {shown}: {e}"))?;
+        eprintln!("saved {kind} to {shown}");
     }
     Ok(model)
 }
@@ -255,18 +281,25 @@ fn tsda_kind(name: &str) -> &'static str {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let meta = dataset_meta(&args.dataset)?;
-    eprintln!("generating dataset {} (seed {})", meta.name, args.seed);
-    let tt = generate(meta, &GenOptions::ci(args.seed));
-    let shape = (tt.train.series()[0].n_dims(), tt.train.series()[0].len());
+    let data = TrainingData { meta, seed: args.seed, train: OnceCell::new() };
 
     let mut registry = ModelRegistry::new();
     for kind in &args.models {
-        let saved = obtain_model(kind, args.dir.as_deref(), &tt.train, args.fast, args.seed)?;
-        let ridge_shape = Some(shape);
+        let saved = obtain_model(kind, args.dir.as_deref(), &data, args.fast, args.seed)?;
+        // A ridge file stores only its feature count; the dataset
+        // factors it into the served (n_dims, series_len).
+        let ridge_shape = matches!(saved, SavedModel::Ridge(_)).then(|| data.series_shape());
         let entry = ModelEntry::from_saved(kind, saved, ridge_shape)
             .map_err(|e| format!("register {kind}: {e}"))?;
         registry.insert(entry);
     }
+    // Training is over: the dataset is not held while serving.
+    drop(data);
+    let shape = args
+        .models
+        .first()
+        .and_then(|m| registry.get(m))
+        .map_or((0, 0), ModelEntry::input_shape);
 
     signal::install();
     // --fault-seed wins over the env var; 0 means off either way.

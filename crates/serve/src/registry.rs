@@ -9,6 +9,7 @@
 
 use serde::Value;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use tsda_classify::persist::SavedModel;
 use tsda_classify::{InceptionTime, MiniRocket, RidgeClassifier, Rocket};
@@ -201,6 +202,14 @@ impl ModelEntry {
             ("n_classes".into(), Value::Num(self.n_classes as f64)),
         ])
     }
+}
+
+/// Where a model directory keeps the saved model `name`:
+/// `<dir>/<name>.tsda`. `tsda_serve` loads the file when it exists
+/// (and trains and saves it otherwise); `tsda_router` runs its pretrain
+/// pass only when one of its models has no such file.
+pub fn model_path(dir: &str, name: &str) -> PathBuf {
+    Path::new(dir).join(format!("{name}.tsda"))
 }
 
 /// All models served by one server instance, keyed by name.

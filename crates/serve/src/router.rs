@@ -459,9 +459,8 @@ impl RouterHandle {
                 Ok(mut guard) => guard.take(),
                 Err(_) => None,
             };
-            if let Some(mut child) = taken {
-                let _killed = child.kill().is_ok();
-                let _status = child.wait();
+            if let Some(child) = taken {
+                kill_and_reap(child);
             }
         }
     }
@@ -470,36 +469,38 @@ impl RouterHandle {
 impl Router {
     /// Spawn/attach every replica, wait for readiness, bind the
     /// frontend, and start routing.
+    ///
+    /// Every spawned replica is started before any is waited on, so
+    /// their model loads overlap; then each address is learned and
+    /// probed in index order. If any step fails (a replica does not
+    /// start or become ready, the frontend cannot bind), every replica
+    /// spawned so far is killed and reaped before the error returns.
     pub fn start(config: RouterConfig) -> Result<RouterHandle, TsdaError> {
         if config.replicas.is_empty() {
             return Err(TsdaError::InvalidParameter("router needs at least one replica".into()));
         }
-        let mut replicas = Vec::with_capacity(config.replicas.len());
-        // An empty model list is legal: a replica may serve only
-        // augmentation pipelines, which are unsharded (any replica
-        // answers any pipeline), so the router needs no map for them.
+        let replica_err =
+            |index: usize, e: String| TsdaError::InvalidParameter(format!("replica {index}: {e}"));
+        let mut starting = Starting(Vec::with_capacity(config.replicas.len()));
         for (index, spec) in config.replicas.iter().enumerate() {
-            let (child, addr) = match spec {
+            let child = match spec {
                 ReplicaSpec::Spawn { bin, args, .. } => {
-                    let (child, addr) = spawn_replica(bin, args)
-                        .map_err(TsdaError::InvalidParameter)?;
-                    (Some(child), addr)
+                    Some(launch_replica(bin, args).map_err(|e| replica_err(index, e))?)
                 }
-                ReplicaSpec::External { addr, .. } => (None, addr.clone()),
+                ReplicaSpec::External { .. } => None,
             };
-            wait_ready(&addr, config.wait_ready_secs)
-                .map_err(|e| TsdaError::InvalidParameter(format!("replica {index}: {e}")))?;
-            replicas.push(Replica {
-                index,
-                spec: spec.clone(),
-                addr: Mutex::new(addr),
-                healthy: AtomicBool::new(true),
-                generation: AtomicU64::new(0),
-                in_flight: AtomicU64::new(0),
-                forwarded: AtomicU64::new(0),
-                restarts: AtomicU64::new(0),
-                child: Mutex::new(child),
-            });
+            starting.0.push(child);
+        }
+        let mut addrs = Vec::with_capacity(config.replicas.len());
+        for (index, (spec, slot)) in config.replicas.iter().zip(&mut starting.0).enumerate() {
+            let addr = match (slot, spec) {
+                (Some(child), _) => listening_addr(child),
+                (None, ReplicaSpec::External { addr, .. }) => Ok(addr.clone()),
+                (None, ReplicaSpec::Spawn { .. }) => Err("spawned replica has no process".into()),
+            }
+            .and_then(|addr| wait_ready(&addr, config.wait_ready_secs).map(|()| addr))
+            .map_err(|e| replica_err(index, e))?;
+            addrs.push(addr);
         }
 
         let addr_spec =
@@ -510,6 +511,29 @@ impl Router {
             .local_addr()
             .map_err(|e| TsdaError::InvalidParameter(format!("local_addr: {e}")))?;
 
+        // Every replica is ready: the processes pass from the start
+        // guard to the fleet. An empty model list is legal: a replica
+        // may serve only augmentation pipelines, which are unsharded
+        // (any replica answers any pipeline), so the router needs no
+        // map for them.
+        let replicas = config
+            .replicas
+            .iter()
+            .zip(addrs)
+            .zip(starting.0.iter_mut())
+            .enumerate()
+            .map(|(index, ((spec, addr), slot))| Replica {
+                index,
+                spec: spec.clone(),
+                addr: Mutex::new(addr),
+                healthy: AtomicBool::new(true),
+                generation: AtomicU64::new(0),
+                in_flight: AtomicU64::new(0),
+                forwarded: AtomicU64::new(0),
+                restarts: AtomicU64::new(0),
+                child: Mutex::new(slot.take()),
+            })
+            .collect();
         let ctx = Arc::new(RouterCtx {
             replicas,
             policy: config.policy,
@@ -518,6 +542,14 @@ impl Router {
             started: Instant::now(),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
+        // From here a failure stops the fleet as a shutdown does.
+        let mut handle = RouterHandle {
+            addr,
+            shutdown: Arc::clone(&shutdown),
+            ctx: Arc::clone(&ctx),
+            accept_thread: None,
+            health_thread: None,
+        };
 
         let health_thread = {
             let ctx = Arc::clone(&ctx);
@@ -527,8 +559,14 @@ impl Router {
             std::thread::Builder::new()
                 .name("tsda-router-health".into())
                 .spawn(move || health_loop(&ctx, &shutdown, interval, ready_secs))
-                .map_err(|e| TsdaError::InvalidParameter(format!("spawn health thread: {e}")))?
         };
+        match health_thread {
+            Ok(t) => handle.health_thread = Some(t),
+            Err(e) => {
+                handle.shutdown();
+                return Err(TsdaError::InvalidParameter(format!("spawn health thread: {e}")));
+            }
+        }
 
         let accept_thread = {
             let ctx = Arc::clone(&ctx);
@@ -547,34 +585,64 @@ impl Router {
                         conn::serve_conn(stream, &mut conn, &conn_shutdown, None);
                     });
                 })
-                .map_err(|e| TsdaError::InvalidParameter(format!("spawn accept thread: {e}")))?
         };
-
-        Ok(RouterHandle {
-            addr,
-            shutdown,
-            ctx,
-            accept_thread: Some(accept_thread),
-            health_thread: Some(health_thread),
-        })
+        match accept_thread {
+            Ok(t) => handle.accept_thread = Some(t),
+            Err(e) => {
+                handle.shutdown();
+                return Err(TsdaError::InvalidParameter(format!("spawn accept thread: {e}")));
+            }
+        }
+        Ok(handle)
     }
 }
 
-/// Spawn one replica process and learn its address from the
-/// `listening on <addr>` readiness line. The remaining stdout is
-/// drained by a detached thread so the child never blocks on a full
-/// pipe.
+/// Replica processes [`Router::start`] has spawned but not yet handed
+/// to the fleet. Dropping it kills and reaps every process still held,
+/// so a failed start leaves no replica running.
+struct Starting(Vec<Option<Child>>);
+
+impl Drop for Starting {
+    fn drop(&mut self) {
+        for child in self.0.iter_mut().filter_map(Option::take) {
+            kill_and_reap(child);
+        }
+    }
+}
+
+fn kill_and_reap(mut child: Child) {
+    let _killed = child.kill().is_ok();
+    let _status = child.wait();
+}
+
+/// Spawn one replica process and learn its address (the monitor's
+/// respawn; [`Router::start`] runs the two halves fleet-wide).
 fn spawn_replica(bin: &str, args: &[String]) -> Result<(Child, String), String> {
-    let mut child = Command::new(bin)
+    let mut child = launch_replica(bin, args)?;
+    match listening_addr(&mut child) {
+        Ok(addr) => Ok((child, addr)),
+        Err(e) => {
+            kill_and_reap(child);
+            Err(e)
+        }
+    }
+}
+
+/// Start one replica process with its stdout piped to the router.
+fn launch_replica(bin: &str, args: &[String]) -> Result<Child, String> {
+    Command::new(bin)
         .args(args)
         .stdout(Stdio::piped())
         .spawn()
-        .map_err(|e| format!("spawn {bin}: {e}"))?;
-    let Some(stdout) = child.stdout.take() else {
-        let _killed = child.kill().is_ok();
-        let _status = child.wait();
-        return Err("replica stdout not captured".into());
-    };
+        .map_err(|e| format!("spawn {bin}: {e}"))
+}
+
+/// Learn a launched replica's address from its `listening on <addr>`
+/// readiness line. The remaining stdout is drained by a detached thread
+/// so the child never blocks on a full pipe. On error the caller kills
+/// and reaps the child.
+fn listening_addr(child: &mut Child) -> Result<String, String> {
+    let stdout = child.stdout.take().ok_or("replica stdout not captured")?;
     let mut reader = BufReader::new(stdout);
     let addr = loop {
         let mut line = String::new();
@@ -590,11 +658,7 @@ fn spawn_replica(bin: &str, args: &[String]) -> Result<(Child, String), String> 
                     break rest.trim().to_string();
                 }
             }
-            Err(e) => {
-                let _killed = child.kill().is_ok();
-                let _status = child.wait();
-                return Err(format!("read replica stdout: {e}"));
-            }
+            Err(e) => return Err(format!("read replica stdout: {e}")),
         }
     };
     if std::thread::Builder::new()
@@ -607,7 +671,7 @@ fn spawn_replica(bin: &str, args: &[String]) -> Result<(Child, String), String> 
         // Draining is best-effort; a missing drain thread only matters
         // if the replica logs more than the pipe buffer.
     }
-    Ok((child, addr))
+    Ok(addr)
 }
 
 /// The monitor: reap and respawn dead spawned replicas, probe unhealthy

@@ -1,6 +1,8 @@
 //! The serving binaries as a user runs them: `tsda_client` speaks the
 //! protocol `--proto` names, and `tsda_serve` and `tsda_router` serve
-//! offline-identical replies, then drain and exit 0 on SIGTERM.
+//! offline-identical replies, then drain and exit 0 on SIGTERM. The
+//! router pretrains only when a model file is missing, and a router
+//! start that fails leaves no replica running.
 
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -19,6 +21,7 @@ use tsda_datasets::ts_format::format_series_line;
 use tsda_serve::client::{Conn, Proto, WireRequest};
 use tsda_serve::pipelines::PipelineRegistry;
 use tsda_serve::proto2::{self, Request2};
+use tsda_serve::router::{ReplicaSpec, Router, RouterConfig};
 
 const SERVE: &str = env!("CARGO_BIN_EXE_tsda_serve");
 const ROUTER: &str = env!("CARGO_BIN_EXE_tsda_router");
@@ -293,5 +296,95 @@ fn router_drains_reaps_its_replicas_and_exits_zero_on_sigterm() {
             TcpStream::connect(replica).is_err(),
             "replica {replica} still accepts connections after the router exited"
         );
+    }
+}
+
+#[test]
+fn router_pretrains_only_when_a_model_file_is_missing() {
+    use std::os::unix::fs::PermissionsExt;
+    let models = TempDir::new("pretrain-models");
+    let wrapper_dir = TempDir::new("pretrain-wrapper");
+    std::fs::create_dir_all(&wrapper_dir.0).expect("wrapper dir");
+    // A --serve-bin that logs each invocation's argv, then becomes the
+    // real server.
+    let log = wrapper_dir.0.join("argv.log");
+    let wrapper = wrapper_dir.0.join("serve.sh");
+    std::fs::write(
+        &wrapper,
+        format!("#!/bin/sh\necho \"$*\" >> '{}'\nexec '{SERVE}' \"$@\"\n", log.display()),
+    )
+    .expect("write the wrapper");
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755))
+        .expect("make the wrapper executable");
+    let wrapper = wrapper.to_str().expect("utf-8 path").to_string();
+    let tt = racket_sports();
+    let s = &tt.test.series()[2];
+
+    for (start, expected_pretrains) in [("first", 1), ("second", 0)] {
+        let _stale = std::fs::remove_file(&log);
+        let mut router = Running::start(
+            ROUTER,
+            &[
+                "--addr", "127.0.0.1:0", "--replicas", "2", "--models", "rocket", "--fast",
+                "--serve-bin", &wrapper, "--dir", models.as_str(),
+            ],
+        );
+        let mut conn = Conn::open_proto(&router.addr, Some(Duration::from_secs(10)), Proto::V2)
+            .expect("connect");
+        let reply = conn
+            .round_trip_request(&WireRequest::predict(Proto::V2, 1, "rocket", s))
+            .expect("predict reply");
+        assert!(reply.ok, "{start} start: {:?}", reply.error);
+        assert_eq!(reply.label, Some(offline_label(&models, "rocket", s, tt.test.n_classes())));
+        drop(conn);
+        let status = router.terminate().expect("tsda_router exits within 20 s of SIGTERM");
+        assert!(status.success(), "{start} start: tsda_router exited with {status}");
+
+        let argv = std::fs::read_to_string(&log).expect("the wrapper logged its invocations");
+        let lines: Vec<&str> = argv.lines().collect();
+        let pretrains = lines.iter().filter(|l| l.contains("--max-seconds 0")).count();
+        assert_eq!(pretrains, expected_pretrains, "{start} start invoked:\n{argv}");
+        assert_eq!(lines.len() - pretrains, 2, "{start} start: 2 replicas expected in:\n{argv}");
+    }
+}
+
+#[test]
+fn a_failed_router_start_kills_the_replicas_it_spawned() {
+    let dir = TempDir::new("failed-start");
+    // Replica 0 is a real server on a port picked beforehand; its
+    // --max-seconds ends it even if the router leaks it.
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let spawn = |args: &[&str], models: &[&str]| ReplicaSpec::Spawn {
+        bin: SERVE.to_string(),
+        args: args.iter().map(|a| a.to_string()).collect(),
+        models: models.iter().map(|m| m.to_string()).collect(),
+    };
+    let config = RouterConfig {
+        replicas: vec![
+            spawn(
+                &[
+                    "--addr", &addr, "--models", "rocket", "--fast", "--dir", dir.as_str(),
+                    "--max-seconds", "5",
+                ],
+                &["rocket"],
+            ),
+            // Exits before it ever listens.
+            spawn(&["--addr", "127.0.0.1:0", "--models", "nope"], &["nope"]),
+        ],
+        wait_ready_secs: 60,
+        ..RouterConfig::default()
+    };
+    assert!(Router::start(config).is_err(), "a replica that cannot start must fail the router");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while TcpStream::connect(&addr).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "replica 0 still accepts connections 2 s after the failed router start"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
