@@ -132,8 +132,8 @@ impl Augmenter for LatentSpaceAugmenter {
                 xin.extend_from_slice(&rows[rng.gen_range(0..rows.len())]);
             }
             let x = Tensor::from_flat(&[batch, d], xin);
-            let z = encoder.forward(&x, true);
-            let recon = decoder.forward(&z, true);
+            let z = encoder.forward(&x);
+            let recon = decoder.forward(&z);
             let (_, grad) = mse_loss(&recon, &x);
             encoder.zero_grad();
             decoder.zero_grad();
@@ -148,7 +148,7 @@ impl Augmenter for LatentSpaceAugmenter {
             &[rows.len(), d],
             rows.iter().flatten().copied().collect(),
         );
-        let codes = encoder.forward(&all, false);
+        let codes = encoder.infer(&all);
         let code = |i: usize| -> Vec<f32> {
             codes.data()[i * z_dim..(i + 1) * z_dim].to_vec()
         };
@@ -187,7 +187,7 @@ impl Augmenter for LatentSpaceAugmenter {
                     za.iter().zip(&zb).map(|(&x, &y)| x + lambda * (x - y)).collect()
                 }
             };
-            let recon = decoder.forward(&Tensor::from_flat(&[1, z_dim], z_new), false);
+            let recon = decoder.infer(&Tensor::from_flat(&[1, z_dim], z_new));
             let restored: Vec<f64> = recon
                 .data()
                 .iter()

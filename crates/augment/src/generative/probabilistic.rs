@@ -506,7 +506,7 @@ impl Augmenter for DiffusionSampler {
             }
             let x = Tensor::from_flat(&[batch, d + 1], xin);
             let target = Tensor::from_flat(&[batch, d], eps_true);
-            let pred = net.forward(&x, true);
+            let pred = net.forward(&x);
             let (_, grad) = mse_loss(&pred, &target);
             net.zero_grad();
             let _ = net.backward(&grad);
@@ -521,7 +521,7 @@ impl Augmenter for DiffusionSampler {
                 let mut xin = x.clone();
                 xin.push(t as f32 / steps as f32);
                 let input = Tensor::from_flat(&[1, d + 1], xin);
-                let eps = net.forward(&input, false);
+                let eps = net.infer(&input);
                 let a = alphas[t];
                 let ab = alpha_bar[t];
                 let sigma = betas[t].sqrt();

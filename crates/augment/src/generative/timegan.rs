@@ -41,14 +41,23 @@ impl TimeDistributedDense {
     }
 }
 
+/// Run `dense` on every time step of `x`: `[n, T, F]` is viewed as
+/// `[n·T, F]` rows and the output reshaped back to `[n, T, out]`.
+fn per_step(x: &Tensor, dense: impl FnOnce(&Tensor) -> Tensor) -> Tensor {
+    let (n, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let out = dense(&x.clone().reshape(&[n * t, f]));
+    let of = out.shape()[1];
+    out.reshape(&[n, t, of])
+}
+
 impl Layer for TimeDistributedDense {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, t, f) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        self.cached_nt = (n, t);
-        let flat = x.clone().reshape(&[n * t, f]);
-        let out = self.dense.forward(&flat, train);
-        let of = out.shape()[1];
-        out.reshape(&[n, t, of])
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cached_nt = (x.shape()[0], x.shape()[1]);
+        per_step(x, |flat| self.dense.forward(flat))
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        per_step(x, |flat| self.dense.infer(flat))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -89,11 +98,18 @@ impl GruNet {
 }
 
 impl Layer for GruNet {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let h = self.gru.forward(x, train);
-        let y = self.head.forward(&h, train);
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.head.forward(&self.gru.forward(x));
         match &mut self.act {
-            Some(a) => a.forward(&y, train),
+            Some(a) => a.forward(&y),
+            None => y,
+        }
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let y = self.head.infer(&self.gru.infer(x));
+        match &self.act {
+            Some(a) => a.infer(&y),
             None => y,
         }
     }
@@ -329,8 +345,8 @@ impl Augmenter for TimeGan {
         // Phase 1: autoencoding — E and R minimise reconstruction MSE.
         for _ in 0..cfg.iters_embedding {
             let x = sample_batch(rng);
-            let e = embedder.forward(&x, true);
-            let xr = recovery.forward(&e, true);
+            let e = embedder.forward(&x);
+            let xr = recovery.forward(&e);
             let (_, grad) = mse_loss(&xr, &x);
             zero_all(&mut embedder, &mut recovery, &mut generator, &mut supervisor, &mut discriminator);
             let ge = recovery.backward(&grad);
@@ -343,8 +359,8 @@ impl Augmenter for TimeGan {
         // latents (E frozen here, as in the reference).
         for _ in 0..cfg.iters_supervised {
             let x = sample_batch(rng);
-            let e = embedder.forward(&x, true);
-            let s_out = supervisor.forward(&e, true);
+            let e = embedder.forward(&x);
+            let s_out = supervisor.forward(&e);
             let (_, grad) = supervised_loss(&s_out, &e);
             zero_all(&mut embedder, &mut recovery, &mut generator, &mut supervisor, &mut discriminator);
             let _ = supervisor.backward(&grad);
@@ -355,9 +371,9 @@ impl Augmenter for TimeGan {
         for _ in 0..cfg.iters_joint {
             // --- Generator + supervisor update -------------------------
             let z = sample_noise(rng);
-            let e_hat = generator.forward(&z, true);
-            let h_hat = supervisor.forward(&e_hat, true);
-            let y_fake = discriminator.forward(&h_hat, true);
+            let e_hat = generator.forward(&z);
+            let h_hat = supervisor.forward(&e_hat);
+            let y_fake = discriminator.forward(&h_hat);
             let ones = Tensor::from_flat(y_fake.shape(), vec![1.0; y_fake.len()]);
             let (_, g_adv) = bce_with_logits(&y_fake, &ones);
             // Supervised consistency on the generated latents.
@@ -373,8 +389,8 @@ impl Augmenter for TimeGan {
 
             // --- Embedder/recovery refinement ---------------------------
             let x = sample_batch(rng);
-            let e = embedder.forward(&x, true);
-            let xr = recovery.forward(&e, true);
+            let e = embedder.forward(&x);
+            let xr = recovery.forward(&e);
             let (_, grad) = mse_loss(&xr, &x);
             zero_all(&mut embedder, &mut recovery, &mut generator, &mut supervisor, &mut discriminator);
             let ge = recovery.backward(&grad);
@@ -384,17 +400,17 @@ impl Augmenter for TimeGan {
 
             // --- Discriminator update ----------------------------------
             let x = sample_batch(rng);
-            let e_real = embedder.forward(&x, true);
-            let y_real = discriminator.forward(&e_real, true);
+            let e_real = embedder.forward(&x);
+            let y_real = discriminator.forward(&e_real);
             let ones = Tensor::from_flat(y_real.shape(), vec![1.0; y_real.len()]);
             let (loss_real, gr) = bce_with_logits(&y_real, &ones);
             zero_all(&mut embedder, &mut recovery, &mut generator, &mut supervisor, &mut discriminator);
             let _ = discriminator.backward(&gr);
             // Fake side (fresh forward so the discriminator cache matches).
             let z = sample_noise(rng);
-            let e_hat = generator.forward(&z, true);
-            let h_hat = supervisor.forward(&e_hat, true);
-            let y_fake = discriminator.forward(&h_hat, true);
+            let e_hat = generator.forward(&z);
+            let h_hat = supervisor.forward(&e_hat);
+            let y_fake = discriminator.forward(&h_hat);
             let zeros = Tensor::zeros(y_fake.shape());
             let (loss_fake, gf) = bce_with_logits(&y_fake, &zeros);
             let _ = discriminator.backward(&gf);
@@ -410,9 +426,9 @@ impl Augmenter for TimeGan {
         while produced < count {
             let take = batch_size.min(count - produced);
             let z = sample_noise(rng);
-            let e_hat = generator.forward(&z, false);
-            let h_hat = supervisor.forward(&e_hat, false);
-            let x_hat = recovery.forward(&h_hat, false);
+            let e_hat = generator.infer(&z);
+            let h_hat = supervisor.infer(&e_hat);
+            let x_hat = recovery.infer(&h_hat);
             for b in 0..take {
                 let start = b * t * f;
                 out.push(scaler.restore(&x_hat.data()[start..start + t * f], t, f));

@@ -129,7 +129,7 @@ impl Augmenter for VaeAugmenter {
                 xin.extend_from_slice(&data[rng.gen_range(0..data.len())]);
             }
             let x = Tensor::from_flat(&[batch, d], xin);
-            let enc = encoder.forward(&x, true); // [batch, 2z]
+            let enc = encoder.forward(&x); // [batch, 2z]
             // Reparameterise: z = μ + σ·ε.
             let mut z = Tensor::zeros(&[batch, z_dim]);
             let mut eps_cache = vec![0.0f32; batch * z_dim];
@@ -142,7 +142,7 @@ impl Augmenter for VaeAugmenter {
                     *z.at2_mut(b, k) = mu + (0.5 * logvar).exp() * eps;
                 }
             }
-            let recon = decoder.forward(&z, true);
+            let recon = decoder.forward(&z);
             // Reconstruction gradient (MSE).
             let n_el = (batch * d) as f32;
             let mut g_recon = recon.clone();
@@ -180,7 +180,7 @@ impl Augmenter for VaeAugmenter {
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let z: Vec<f32> = (0..z_dim).map(|_| normal(rng, 0.0, 1.0) as f32).collect();
-            let recon = decoder.forward(&Tensor::from_flat(&[1, z_dim], z), false);
+            let recon = decoder.infer(&Tensor::from_flat(&[1, z_dim], z));
             let restored: Vec<f64> = recon
                 .data()
                 .iter()

@@ -56,7 +56,7 @@ fn bench_substrates(c: &mut Criterion) {
         let input =
             Tensor::from_flat(&[16, 20, 8], (0..16 * 20 * 8).map(|v| (v % 7) as f32 * 0.1).collect());
         b.iter(|| {
-            let out = gru.forward(&input, true);
+            let out = gru.forward(&input);
             gru.zero_grad();
             gru.backward(&out)
         })

@@ -227,14 +227,14 @@ fn bench(served: &Served, rows: &mut Vec<Row>) -> (f64, f64, f64, f64) {
     let x = random_tensor(&[16, 8, 128], 12);
     let conv_size = "b16 c8->16 k9 t128";
     let fwd_gemm = scaling(rows, "conv1d_forward_gemm", conv_size, &SCALING_THREADS, || {
-        std::hint::black_box(conv.forward(&x, true));
+        std::hint::black_box(conv.forward(&x));
     });
     let fwd_ref = time_ns(|| {
         std::hint::black_box(conv.forward_reference(&x));
     });
     push(rows, "conv1d_forward_reference", conv_size, 1, fwd_ref);
     let gout = random_tensor(&[16, 16, 128], 13);
-    conv.forward(&x, true);
+    conv.forward(&x);
     let bwd_gemm = time_ns(|| {
         std::hint::black_box(conv.backward(&gout));
     });
@@ -312,7 +312,7 @@ fn bench(served: &Served, rows: &mut Vec<Row>) -> (f64, f64, f64, f64) {
     let mut bn = BatchNorm1d::new(16);
     let bx = random_tensor(&[16, 16, 128], 20);
     let bn_ns = time_ns(|| {
-        std::hint::black_box(bn.forward(&bx, true));
+        std::hint::black_box(bn.forward(&bx));
     });
     push(rows, "batchnorm_forward", "b16 c16 t128", 1, bn_ns);
 

@@ -1,24 +1,38 @@
 //! Dataset → tensor/feature encoding shared by the classifiers.
 
-use tsda_core::preprocess::{impute_linear, znormalize_series};
-use tsda_core::Dataset;
+use tsda_core::preprocess::{impute_linear_dim, znormalize_dim};
+use tsda_core::{Dataset, Mts, TsdaError};
 use tsda_neuro::tensor::Tensor;
 
-/// Convert a dataset to a `[n, channels, time]` `f32` tensor after
-/// imputation and per-series z-normalisation — the standard archive
-/// preprocessing both baselines assume.
-pub fn dataset_to_tensor3(ds: &Dataset) -> Tensor {
-    let n = ds.len();
-    let c = ds.n_dims();
-    let t = ds.series_len();
-    let mut data = Vec::with_capacity(n * c * t);
-    for (s, _) in ds.iter() {
-        let clean = znormalize_series(&impute_linear(s));
-        for v in clean.as_flat() {
-            data.push(*v as f32);
-        }
+/// The archive preprocessing both baselines assume: every dimension of
+/// `s` linearly imputed, then z-normalised, in `buf`'s allocation.
+pub(crate) fn preprocess_into(s: &Mts, mut buf: Vec<f64>) -> Mts {
+    buf.clear();
+    buf.extend_from_slice(s.as_flat());
+    let mut clean = Mts::from_flat(s.n_dims(), s.len(), buf);
+    for m in 0..s.n_dims() {
+        impute_linear_dim(clean.dim_mut(m));
+        znormalize_dim(clean.dim_mut(m));
     }
-    Tensor::from_flat(&[n, c, t], data)
+    clean
+}
+
+/// Convert a dataset to a `[n, channels, time]` `f32` tensor after
+/// imputation and per-series z-normalisation.
+pub fn dataset_to_tensor3(ds: &Dataset) -> Tensor {
+    series_to_tensor3(ds.series(), (ds.n_dims(), ds.series_len()))
+}
+
+/// [`dataset_to_tensor3`] over series of one `(channels, time)` shape.
+pub(crate) fn series_to_tensor3(series: &[Mts], (c, t): (usize, usize)) -> Tensor {
+    let mut data = Vec::with_capacity(series.len() * c * t);
+    let mut buf = Vec::new();
+    for s in series {
+        let clean = preprocess_into(s, buf);
+        data.extend(clean.as_flat().iter().map(|&v| v as f32));
+        buf = clean.into_flat();
+    }
+    Tensor::from_flat(&[series.len(), c, t], data)
 }
 
 /// Preprocess one dataset into per-series cleaned `f64` series (imputed,
@@ -26,9 +40,23 @@ pub fn dataset_to_tensor3(ds: &Dataset) -> Tensor {
 pub fn preprocess_dataset(ds: &Dataset) -> Dataset {
     let mut out = Dataset::empty(ds.n_classes());
     for (s, l) in ds.iter() {
-        out.push(znormalize_series(&impute_linear(s)), l);
+        out.push(preprocess_into(s, Vec::new()), l);
     }
     out
+}
+
+/// Refuse a batch for a model fitted on `(n_dims, series_len)` series:
+/// unfitted (`None`), or holding a series of another shape.
+pub(crate) fn check_shapes(series: &[Mts], fitted: Option<(usize, usize)>) -> Result<(), TsdaError> {
+    let (d, l) = fitted.ok_or_else(|| TsdaError::InvalidParameter("predict before fit".into()))?;
+    match series.iter().find(|s| s.shape() != (d, l)) {
+        None => Ok(()),
+        Some(s) => Err(TsdaError::Shape(format!(
+            "series shape {}x{} does not match the model's {d}x{l}",
+            s.n_dims(),
+            s.len()
+        ))),
+    }
 }
 
 #[cfg(test)]

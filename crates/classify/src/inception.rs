@@ -13,17 +13,17 @@
 //! cyclical learning-rate range test per dataset whose "valley" sets the
 //! training rate.
 
-use crate::encode::dataset_to_tensor3;
+use crate::encode::{check_shapes, dataset_to_tensor3, series_to_tensor3};
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use tsda_core::codec::{ByteReader, ByteWriter, CodecReader, CodecWriter};
-use tsda_core::{Dataset, Label, TsdaError};
+use tsda_core::{Dataset, Label, Mts, TsdaError};
 use tsda_neuro::layers::{
-    Activation, BatchNorm1d, Conv1d, Dense, GlobalAvgPool1d, Layer, MaxPool1dSame,
+    Activation, BatchNorm1d, Conv1d, Dense, GlobalAvgPool1d, Layer, MaxPool1dSame, Sequential,
 };
 use tsda_neuro::loss::softmax;
 use tsda_neuro::tensor::Tensor;
-use tsda_neuro::train::{lr_range_test, train_classifier, TrainConfig};
+use tsda_neuro::train::{argmax_rows, lr_range_test, train_classifier, TrainConfig};
 
 /// Codec kind tag for saved InceptionTime ensembles.
 pub const INCEPTION_KIND: &str = "inceptiontime";
@@ -124,6 +124,29 @@ fn split_channels(grad: &Tensor, widths: &[usize]) -> Vec<Tensor> {
     out
 }
 
+/// Copy `values` over the buffers `visit` walks, in order, as a saved
+/// member is loaded; errors unless they fill the architecture exactly.
+fn restore(
+    what: &str,
+    values: &[f32],
+    visit: impl FnOnce(&mut dyn FnMut(&mut [f32])),
+) -> Result<(), TsdaError> {
+    let mut off = 0usize;
+    visit(&mut |b| {
+        if let Some(src) = values.get(off..off + b.len()) {
+            b.copy_from_slice(src);
+        }
+        off += b.len();
+    });
+    if off != values.len() {
+        return Err(TsdaError::Codec(format!(
+            "member {what} count mismatch: file has {}, architecture needs {off}",
+            values.len()
+        )));
+    }
+    Ok(())
+}
+
 /// One inception module.
 struct InceptionModule {
     bottleneck: Option<Conv1d>,
@@ -176,21 +199,25 @@ impl InceptionModule {
 }
 
 impl Layer for InceptionModule {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let bottlenecked = match &mut self.bottleneck {
-            Some(b) => b.forward(x, train),
+            Some(b) => b.forward(x),
             None => x.clone(),
         };
-        let mut parts: Vec<Tensor> = self
-            .convs
-            .iter_mut()
-            .map(|c| c.forward(&bottlenecked, train))
-            .collect();
-        let pooled = self.pool.forward(x, train);
-        parts.push(self.pool_conv.forward(&pooled, train));
-        let z = concat_channels(&parts);
-        let z = self.bn.forward(&z, train);
-        self.act.forward(&z, train)
+        let mut parts: Vec<Tensor> =
+            self.convs.iter_mut().map(|c| c.forward(&bottlenecked)).collect();
+        parts.push(self.pool_conv.forward(&self.pool.forward(x)));
+        self.act.forward(&self.bn.forward(&concat_channels(&parts)))
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let bottlenecked = match &self.bottleneck {
+            Some(b) => b.infer(x),
+            None => x.clone(),
+        };
+        let mut parts: Vec<Tensor> = self.convs.iter().map(|c| c.infer(&bottlenecked)).collect();
+        parts.push(self.pool_conv.infer(&self.pool.infer(x)));
+        self.act.infer(&self.bn.infer(&concat_channels(&parts)))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -235,40 +262,17 @@ impl Layer for InceptionModule {
 }
 
 /// Residual shortcut: 1×1 conv + batch norm.
-struct Shortcut {
-    conv: Conv1d,
-    bn: BatchNorm1d,
-}
-
-impl Shortcut {
-    fn new(in_ch: usize, out_ch: usize, rng: &mut StdRng) -> Self {
-        Self { conv: Conv1d::new(in_ch, out_ch, 1, false, rng), bn: BatchNorm1d::new(out_ch) }
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = self.conv.forward(x, train);
-        self.bn.forward(&y, train)
-    }
-
-    fn backward(&mut self, g: &Tensor) -> Tensor {
-        let g = self.bn.backward(g);
-        self.conv.backward(&g)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv.visit_params(f);
-        self.bn.visit_params(f);
-    }
-
-    fn visit_buffers(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.bn.visit_buffers(f);
-    }
+fn shortcut(in_ch: usize, out_ch: usize, rng: &mut StdRng) -> Sequential {
+    Sequential::new(vec![
+        Box::new(Conv1d::new(in_ch, out_ch, 1, false, rng)),
+        Box::new(BatchNorm1d::new(out_ch)),
+    ])
 }
 
 /// One ensemble member: the full InceptionTime network.
 struct InceptionNet {
     modules: Vec<InceptionModule>,
-    shortcuts: Vec<Shortcut>,
+    shortcuts: Vec<Sequential>,
     res_acts: Vec<Activation>,
     gap: GlobalAvgPool1d,
     head: Dense,
@@ -287,7 +291,7 @@ impl InceptionNet {
             cur_ch = m.out_channels();
             modules.push(m);
             if d % 3 == 2 {
-                shortcuts.push(Shortcut::new(res_ch, cur_ch, rng));
+                shortcuts.push(shortcut(res_ch, cur_ch, rng));
                 res_acts.push(Activation::relu());
                 res_ch = cur_ch;
             }
@@ -298,23 +302,34 @@ impl InceptionNet {
 }
 
 impl Layer for InceptionNet {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         let mut res_input = x.clone();
-        let mut si = 0;
         for d in 0..self.depth {
-            cur = self.modules[d].forward(&cur, train);
+            cur = self.modules[d].forward(&cur);
             if d % 3 == 2 {
-                let s = self.shortcuts[si].forward(&res_input, train);
-                let mut sum = cur;
-                sum.add_assign(&s);
-                cur = self.res_acts[si].forward(&sum, train);
+                let si = d / 3;
+                cur.add_assign(&self.shortcuts[si].forward(&res_input));
+                cur = self.res_acts[si].forward(&cur);
                 res_input = cur.clone();
-                si += 1;
             }
         }
-        let pooled = self.gap.forward(&cur, train);
-        self.head.forward(&pooled, train)
+        self.head.forward(&self.gap.forward(&cur))
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut cur = x.clone();
+        let mut res_input = x.clone();
+        for d in 0..self.depth {
+            cur = self.modules[d].infer(&cur);
+            if d % 3 == 2 {
+                let si = d / 3;
+                cur.add_assign(&self.shortcuts[si].infer(&res_input));
+                cur = self.res_acts[si].infer(&cur);
+                res_input = cur.clone();
+            }
+        }
+        self.head.infer(&self.gap.infer(&cur))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -490,38 +505,8 @@ impl InceptionTime {
                 n_classes,
                 &mut tsda_core::rng::seeded(0),
             );
-            let mut off = 0usize;
-            let mut overrun = false;
-            net.visit_params(&mut |p, _| {
-                if off + p.len() <= params.len() {
-                    p.copy_from_slice(&params[off..off + p.len()]);
-                } else {
-                    overrun = true;
-                }
-                off += p.len();
-            });
-            if overrun || off != params.len() {
-                return Err(TsdaError::Codec(format!(
-                    "member parameter count mismatch: file has {}, architecture needs {off}",
-                    params.len()
-                )));
-            }
-            let mut boff = 0usize;
-            let mut boverrun = false;
-            net.visit_buffers(&mut |b| {
-                if boff + b.len() <= buffers.len() {
-                    b.copy_from_slice(&buffers[boff..boff + b.len()]);
-                } else {
-                    boverrun = true;
-                }
-                boff += b.len();
-            });
-            if boverrun || boff != buffers.len() {
-                return Err(TsdaError::Codec(format!(
-                    "member buffer count mismatch: file has {}, architecture needs {boff}",
-                    buffers.len()
-                )));
-            }
+            restore("parameter", &params, |f| net.visit_params(&mut |p, _| f(p)))?;
+            restore("buffer", &buffers, |f| net.visit_buffers(f))?;
             members.push(net);
         }
         ms.finish()?;
@@ -529,16 +514,26 @@ impl InceptionTime {
     }
 
     /// Averaged softmax probabilities over the ensemble.
-    pub fn predict_proba(&mut self, x: &Tensor) -> Tensor {
+    pub fn predict_proba(&self, x: &Tensor) -> Tensor {
         assert!(!self.members.is_empty(), "predict before fit");
         let n = x.shape()[0];
         let mut acc = Tensor::zeros(&[n, self.n_classes]);
-        for m in &mut self.members {
-            let p = softmax(&m.forward(x, false));
-            acc.add_assign(&p);
+        for m in &self.members {
+            acc.add_assign(&softmax(&m.infer(x)));
         }
         acc.scale(1.0 / self.members.len() as f32);
         acc
+    }
+
+    /// Predict `series` into `out` (cleared first): the arg-max of
+    /// [`Self::predict_proba`] over the series encoded as
+    /// [`dataset_to_tensor3`] encodes them. Errors on an unfitted model
+    /// or a series of another shape.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        check_shapes(series, self.input_shape())?;
+        out.clear();
+        argmax_rows(&self.predict_proba(&series_to_tensor3(series, self.input_shape)), out);
+        Ok(())
     }
 }
 
@@ -594,20 +589,11 @@ impl Classifier for InceptionTime {
         }
     }
 
-    fn predict(&mut self, test: &Dataset) -> Vec<Label> {
-        let x = dataset_to_tensor3(test);
-        let probs = self.predict_proba(&x);
-        let c = probs.shape()[1];
-        (0..probs.shape()[0])
-            .map(|i| {
-                let row = &probs.data()[i * c..(i + 1) * c];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
-            .collect()
+    fn predict(&self, test: &Dataset) -> Vec<Label> {
+        let mut labels = Vec::with_capacity(test.len());
+        self.predict_into(test.series(), &mut labels)
+            .map(|()| labels)
+            .expect("predict before fit, or on series of another shape")
     }
 }
 
@@ -642,7 +628,7 @@ mod tests {
         let mut rng = seeded(0);
         let mut m = InceptionModule::new(3, 4, &[9, 5, 3], 20, &mut rng);
         let x = Tensor::zeros(&[2, 3, 20]);
-        let y = m.forward(&x, true);
+        let y = m.forward(&x);
         assert_eq!(y.shape(), &[2, 16, 20]);
     }
 

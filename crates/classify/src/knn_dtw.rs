@@ -52,7 +52,7 @@ impl Classifier for KnnDtw {
         self.train = Some(preprocess_dataset(train));
     }
 
-    fn predict(&mut self, test: &Dataset) -> Vec<Label> {
+    fn predict(&self, test: &Dataset) -> Vec<Label> {
         let train = self.train.as_ref().expect("predict before fit");
         let opts = DtwOptions { band_fraction: self.band_fraction };
         let clean = preprocess_dataset(test);

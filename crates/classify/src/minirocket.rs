@@ -9,8 +9,8 @@
 //! each bias (and the channel subset per kernel in the multivariate
 //! case).
 
-use crate::encode::preprocess_dataset;
-use crate::ridge::RidgeClassifier;
+use crate::encode::{check_shapes, preprocess_dataset, preprocess_into};
+use crate::ridge::{with_batch_scratch, BatchScratch, RidgeClassifier};
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,11 +72,19 @@ struct Feature {
 }
 
 /// Convolve one series with a fixed kernel at a dilation, summed over
-/// the selected channels, "same" padding; returns the raw outputs.
-fn convolve(s: &Mts, kernel: &[f64; KERNEL_LEN], dilation: usize, channels: &[usize]) -> Vec<f64> {
+/// the selected channels, "same" padding; `out` receives the raw
+/// outputs, one per time step.
+fn convolve(
+    s: &Mts,
+    kernel: &[f64; KERNEL_LEN],
+    dilation: usize,
+    channels: &[usize],
+    out: &mut Vec<f64>,
+) {
     let t_len = s.len();
     let pad = (KERNEL_LEN - 1) * dilation / 2;
-    let mut out = vec![0.0; t_len];
+    out.clear();
+    out.resize(t_len, 0.0);
     for (t, o) in out.iter_mut().enumerate() {
         let mut acc = 0.0;
         for (k, &w) in kernel.iter().enumerate() {
@@ -89,7 +97,6 @@ fn convolve(s: &Mts, kernel: &[f64; KERNEL_LEN], dilation: usize, channels: &[us
         }
         *o = acc;
     }
-    out
 }
 
 /// The MiniRocket classifier: fixed-kernel transform + ridge with LOOCV.
@@ -130,15 +137,25 @@ impl MiniRocket {
         self.ridge.n_classes()
     }
 
-    /// Predict from an immutably borrowed fitted model (serving path;
-    /// see [`crate::rocket::Rocket::predict_fitted`]).
-    pub fn predict_fitted(&self, test: &Dataset) -> Result<Vec<Label>, TsdaError> {
-        if self.features.is_empty() {
-            return Err(TsdaError::InvalidParameter("predict before fit".into()));
-        }
-        let clean = preprocess_dataset(test);
-        let features = self.transform(&clean);
-        self.ridge.try_predict_features(&features)
+    /// Predict `series` into `out` (cleared first), allocating nothing
+    /// once this thread's scratch has grown to the batch.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        with_batch_scratch(|scratch| self.predict_with(series, scratch, out))
+    }
+
+    /// The one predict path (see `Rocket`'s).
+    fn predict_with(
+        &self,
+        series: &[Mts],
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
+        check_shapes(series, self.input_shape())?;
+        self.ridge.predict_rows(series, self.n_features(), scratch, out, |s, row, (clean, conv)| {
+            let s = preprocess_into(s, std::mem::take(clean));
+            self.transform_row(&s, row, conv);
+            *clean = s.into_flat();
+        })
     }
 
     /// Serialise the fitted state into a [`tsda_core::codec`] container.
@@ -210,19 +227,25 @@ impl MiniRocket {
 
     /// PPV features for every series.
     pub fn transform(&self, ds: &Dataset) -> Vec<Vec<f64>> {
+        let mut conv = Vec::new();
         ds.series()
             .iter()
             .map(|s| {
-                self.features
-                    .iter()
-                    .map(|f| {
-                        let conv = convolve(s, &self.kernels[f.kernel], f.dilation, &f.channels);
-                        let pos = conv.iter().filter(|&&v| v > f.bias).count();
-                        pos as f64 / conv.len().max(1) as f64
-                    })
-                    .collect()
+                let mut row = vec![0.0; self.features.len()];
+                self.transform_row(s, &mut row, &mut conv);
+                row
             })
             .collect()
+    }
+
+    /// Write one series' PPV features into `row`, using `conv` as the
+    /// convolution-output scratch.
+    fn transform_row(&self, s: &Mts, row: &mut [f64], conv: &mut Vec<f64>) {
+        for (f, v) in self.features.iter().zip(row) {
+            convolve(s, &self.kernels[f.kernel], f.dilation, &f.channels, conv);
+            let pos = conv.iter().filter(|&&c| c > f.bias).count();
+            *v = pos as f64 / conv.len().max(1) as f64;
+        }
     }
 
     fn fit_features(&mut self, ds: &Dataset, rng: &mut StdRng) {
@@ -260,7 +283,8 @@ impl MiniRocket {
                 // Bias: a random quantile of the convolution output on a
                 // random training sample.
                 let sample = &ds.series()[rng.gen_range(0..ds.len())];
-                let mut conv = convolve(sample, &self.kernels[kernel], dilation, &channels);
+                let mut conv = Vec::new();
+                convolve(sample, &self.kernels[kernel], dilation, &channels, &mut conv);
                 conv.sort_by(|a, b| a.total_cmp(b));
                 let q: f64 = rng.gen_range(0.1..0.9);
                 let bias = conv[((conv.len() - 1) as f64 * q) as usize];
@@ -283,8 +307,12 @@ impl Classifier for MiniRocket {
         self.ridge.fit_features(&features, clean.labels(), clean.n_classes());
     }
 
-    fn predict(&mut self, test: &Dataset) -> Vec<Label> {
-        self.predict_fitted(test).expect("predict before fit")
+    fn predict(&self, test: &Dataset) -> Vec<Label> {
+        // Buffers of its own, freed on return (see `Rocket`'s).
+        let mut labels = Vec::with_capacity(test.len());
+        self.predict_with(test.series(), &mut BatchScratch::default(), &mut labels)
+            .map(|()| labels)
+            .expect("predict before fit, or on series of another shape")
     }
 }
 

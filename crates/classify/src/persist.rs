@@ -15,7 +15,8 @@
 //!
 //! All round trips are bit-exact: a loaded model produces predictions
 //! identical to the fitted original (asserted by the persistence test
-//! suite for all four model types).
+//! suite for all four model types). [`SavedModel`] is also the serving
+//! layer's one view of a model, whatever its kind.
 
 use crate::inception::{InceptionTime, INCEPTION_KIND};
 use crate::minirocket::{MiniRocket, MINIROCKET_KIND};
@@ -23,7 +24,7 @@ use crate::ridge::{RidgeClassifier, RIDGE_KIND};
 use crate::rocket::{Rocket, ROCKET_KIND};
 use std::path::Path;
 use tsda_core::codec::CodecReader;
-use tsda_core::TsdaError;
+use tsda_core::{Label, Mts, TsdaError};
 
 /// A loaded model of any persistable kind.
 pub enum SavedModel {
@@ -45,6 +46,38 @@ impl SavedModel {
             Self::MiniRocket(_) => MINIROCKET_KIND,
             Self::Ridge(_) => RIDGE_KIND,
             Self::InceptionTime(_) => INCEPTION_KIND,
+        }
+    }
+
+    /// `(n_dims, series_len)` of the series the model predicts; `None`
+    /// while unfitted. Ridge reads flattened series: `(1, n_features)`.
+    pub fn input_shape(&self) -> Option<(usize, usize)> {
+        match self {
+            Self::Rocket(m) => m.input_shape(),
+            Self::MiniRocket(m) => m.input_shape(),
+            Self::Ridge(m) => m.n_features().map(|p| (1, p)),
+            Self::InceptionTime(m) => m.input_shape(),
+        }
+    }
+
+    /// Number of classes the model separates (0 before fit).
+    pub fn n_classes(&self) -> usize {
+        match self {
+            Self::Rocket(m) => m.n_classes(),
+            Self::MiniRocket(m) => m.n_classes(),
+            Self::Ridge(m) => m.n_classes(),
+            Self::InceptionTime(m) => m.n_classes(),
+        }
+    }
+
+    /// The wrapped model's `predict_into`: labels bit-identical to its
+    /// offline `predict`, through `&self`, so no lock is needed.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        match self {
+            Self::Rocket(m) => m.predict_into(series, out),
+            Self::MiniRocket(m) => m.predict_into(series, out),
+            Self::Ridge(m) => m.predict_into(series, out),
+            Self::InceptionTime(m) => m.predict_into(series, out),
         }
     }
 

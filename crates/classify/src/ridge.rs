@@ -6,13 +6,35 @@
 //! leave-one-out error (see [`tsda_linalg::solve::RidgeLoocv`]), argmax
 //! decision.
 
+use std::cell::Cell;
 use tsda_core::codec::{ByteReader, ByteWriter, CodecReader, CodecWriter};
-use tsda_core::{Label, TsdaError};
+use tsda_core::parallel::Pool;
+use tsda_core::{Label, Mts, TsdaError};
 use tsda_linalg::matrix::Matrix;
 use tsda_linalg::solve::{RidgeLoocv, RidgeSolution};
 
 /// Codec kind tag for saved ridge classifiers.
 pub const RIDGE_KIND: &str = "ridge";
+
+/// A batch's flat `n × width` feature matrix and one row's scores.
+pub(crate) type BatchScratch = (Vec<f64>, Vec<f64>);
+/// One series' cleaned values and convolution output.
+pub(crate) type SeriesScratch = (Vec<f64>, Vec<f64>);
+
+thread_local! {
+    static BATCH_SCRATCH: Cell<BatchScratch> = const { Cell::new((Vec::new(), Vec::new())) };
+    static SERIES_SCRATCH: Cell<SeriesScratch> = const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// Run `f` with this thread's batch scratch, which keeps the capacity
+/// of the largest batch this thread has predicted: the serving path,
+/// whose batch size `max_batch` bounds.
+pub(crate) fn with_batch_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> T {
+    let mut scratch = BATCH_SCRATCH.take();
+    let result = f(&mut scratch);
+    BATCH_SCRATCH.set(scratch);
+    result
+}
 
 /// Fitted ridge classifier state.
 #[derive(Default)]
@@ -84,25 +106,51 @@ impl RidgeClassifier {
             .collect())
     }
 
-    /// Predict labels for the rows of a flat feature buffer, `width`
-    /// values per row, appending to `out`. Each row is standardised in
-    /// place and scored into `scores`, so nothing is allocated once
-    /// `out` and `scores` have grown. Labels equal
-    /// [`Self::try_predict_features`] on the same rows.
-    pub(crate) fn predict_rows_into(
+    /// Predict each series' flattened values (dimension-major, no
+    /// preprocessing) as one feature row, into `out`: the served linear
+    /// baseline, allocation-free once this thread's scratch is warm.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        let p = self.solution().map(|_| self.feature_mean.len())?;
+        if let Some(s) = series.iter().find(|s| s.as_flat().len() != p) {
+            return Err(TsdaError::Shape(format!(
+                "series has {} values, model expects {p}",
+                s.as_flat().len()
+            )));
+        }
+        with_batch_scratch(|scratch| {
+            self.predict_rows(series, p, scratch, out, |s, row, _| row.copy_from_slice(s.as_flat()))
+        })
+    }
+
+    /// The one predict path of ROCKET, MiniRocket and served ridge:
+    /// `transform` writes series `i`'s `width` features into row `i` of
+    /// the feature matrix (one pool chunk per series, with per-thread
+    /// [`SeriesScratch`]); each row is standardised in place and scored,
+    /// and its arg-max class pushed to `out` (cleared first), as
+    /// [`Self::try_predict_features`] labels the same rows.
+    pub(crate) fn predict_rows(
         &self,
-        features: &mut [f64],
+        series: &[Mts],
         width: usize,
-        scores: &mut Vec<f64>,
+        (features, scores): &mut BatchScratch,
         out: &mut Vec<Label>,
+        transform: impl Fn(&Mts, &mut [f64], &mut SeriesScratch) + Sync,
     ) -> Result<(), TsdaError> {
         let sol = self.solution()?;
         let p = self.feature_mean.len();
-        if width != p || p == 0 || !features.len().is_multiple_of(p) {
+        if width != p || p == 0 {
             return Err(TsdaError::Shape(format!(
                 "feature row has {width} values, model expects {p}"
             )));
         }
+        out.clear();
+        features.clear();
+        features.resize(series.len() * p, 0.0);
+        Pool::global().par_chunks_mut(features, p, |i, row| {
+            let mut scratch = SERIES_SCRATCH.take();
+            transform(&series[i], row, &mut scratch);
+            SERIES_SCRATCH.set(scratch);
+        });
         for row in features.chunks_exact_mut(p) {
             out.push(self.label_row(sol, row, scores));
         }
@@ -133,11 +181,6 @@ impl RidgeClassifier {
     /// The alpha the LOOCV sweep selected (None before fit).
     pub fn selected_alpha(&self) -> Option<f64> {
         self.solution.as_ref().map(|s| s.alpha)
-    }
-
-    /// True once `fit_features` has run.
-    pub fn is_fitted(&self) -> bool {
-        self.solution.is_some()
     }
 
     /// Number of input features the fitted model expects.

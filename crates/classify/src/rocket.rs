@@ -10,30 +10,19 @@
 //! matches deep models at a fraction of the cost; the paper uses 10 000
 //! kernels (§IV-D).
 
-use crate::encode::preprocess_dataset;
-use crate::ridge::RidgeClassifier;
+use crate::encode::{check_shapes, preprocess_dataset, preprocess_into};
+use crate::ridge::{with_batch_scratch, BatchScratch, RidgeClassifier};
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::Cell;
 use tsda_core::codec::{ByteReader, ByteWriter, CodecReader, CodecWriter};
 use tsda_core::parallel::Pool;
-use tsda_core::preprocess::{impute_linear_dim, znormalize_dim};
 use tsda_core::rng::standard_normal;
 use tsda_core::{Dataset, Label, Mts, TsdaError};
 use tsda_linalg::simd::{self, SimdLevel};
 
 /// Codec kind tag for saved ROCKET models.
 pub const ROCKET_KIND: &str = "rocket";
-
-thread_local! {
-    /// [`Rocket::predict_into`]'s feature matrix and ridge scores, on
-    /// the calling thread (a serving lane's worker).
-    static BATCH_SCRATCH: Cell<(Vec<f64>, Vec<f64>)> = const { Cell::new((Vec::new(), Vec::new())) };
-    /// One series' cleaned values and convolution output, on whichever
-    /// thread transforms it.
-    static SERIES_SCRATCH: Cell<(Vec<f64>, Vec<f64>)> = const { Cell::new((Vec::new(), Vec::new())) };
-}
 
 /// Which pooled features each kernel contributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -230,11 +219,6 @@ impl Rocket {
         }
     }
 
-    /// Number of fitted kernels.
-    pub fn n_kernels(&self) -> usize {
-        self.kernels.len()
-    }
-
     /// `(n_dims, series_len)` seen at fit time; `None` while unfitted.
     pub fn input_shape(&self) -> Option<(usize, usize)> {
         (!self.kernels.is_empty()).then_some(self.input_shape)
@@ -245,67 +229,29 @@ impl Rocket {
         self.ridge.n_classes()
     }
 
-    /// Predict from an immutably borrowed fitted model.
-    ///
-    /// The path of [`Self::predict_into`], so offline and served
-    /// predictions are bit-identical, with buffers of its own that are
-    /// freed on return. [`Classifier::predict`] is a thin wrapper around
-    /// this. Errors instead of panicking on an unfitted model.
-    pub fn predict_fitted(&self, test: &Dataset) -> Result<Vec<Label>, TsdaError> {
-        let mut labels = Vec::with_capacity(test.len());
-        self.predict_with(test.series(), &mut Vec::new(), &mut Vec::new(), &mut labels)?;
-        Ok(labels)
-    }
-
     /// Predict `series` into `out` (cleared first), allocating nothing
-    /// once this thread's scratch has grown to the batch: the serving
-    /// path, whose batch size `max_batch` bounds. The scratch keeps the
-    /// capacity of the largest batch this thread has predicted. The
-    /// transform and the ridge head only read fitted state, so
-    /// concurrent threads can share one model.
+    /// once this thread's scratch has grown to the batch. The transform
+    /// and the ridge head only read fitted state, so concurrent threads
+    /// can share one model.
     pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
-        let (mut features, mut scores) = BATCH_SCRATCH.take();
-        let predicted = self.predict_with(series, &mut features, &mut scores, out);
-        BATCH_SCRATCH.set((features, scores));
-        predicted
+        with_batch_scratch(|scratch| self.predict_with(series, scratch, out))
     }
 
-    /// The one predict path. Each series is imputed and z-normalised
-    /// into per-thread scratch with the arithmetic of
-    /// [`preprocess_dataset`], transformed into its row of `features`
-    /// (a flat `n × n_features` matrix, one pool chunk per series), and
-    /// scored by the ridge head into `scores`, so labels are
-    /// bit-identical to transforming a preprocessed dataset.
+    /// The one predict path: each series is preprocessed as
+    /// [`preprocess_dataset`] does, into per-thread scratch, and
+    /// transformed into its row for [`RidgeClassifier::predict_rows`].
     fn predict_with(
         &self,
         series: &[Mts],
-        features: &mut Vec<f64>,
-        scores: &mut Vec<f64>,
+        scratch: &mut BatchScratch,
         out: &mut Vec<Label>,
     ) -> Result<(), TsdaError> {
-        if self.kernels.is_empty() {
-            return Err(TsdaError::InvalidParameter("predict before fit".into()));
-        }
-        out.clear();
-        let width = self.n_features();
-        features.clear();
-        features.resize(series.len() * width, 0.0);
-        Pool::global().par_chunks_mut(features, width, |i, row| {
-            let mut scratch = SERIES_SCRATCH.take();
-            let (clean, conv) = &mut scratch;
-            let s = &series[i];
-            clean.clear();
-            clean.extend_from_slice(s.as_flat());
-            if !s.is_empty() {
-                for dim in clean.chunks_exact_mut(s.len()) {
-                    impute_linear_dim(dim);
-                    znormalize_dim(dim);
-                }
-            }
-            self.transform_row(clean, s.len(), row, conv);
-            SERIES_SCRATCH.set(scratch);
-        });
-        self.ridge.predict_rows_into(features, width, scores, out)
+        check_shapes(series, self.input_shape())?;
+        self.ridge.predict_rows(series, self.n_features(), scratch, out, |s, row, (clean, conv)| {
+            let s = preprocess_into(s, std::mem::take(clean));
+            self.transform_row(s.as_flat(), s.len(), row, conv);
+            *clean = s.into_flat();
+        })
     }
 
     /// Serialise the fitted state (kernels + ridge head) into a
@@ -422,8 +368,13 @@ impl Classifier for Rocket {
         self.ridge.fit_features(&features, clean.labels(), clean.n_classes());
     }
 
-    fn predict(&mut self, test: &Dataset) -> Vec<Label> {
-        self.predict_fitted(test).expect("predict before fit")
+    fn predict(&self, test: &Dataset) -> Vec<Label> {
+        // Buffers of its own, freed on return: a test set's feature
+        // matrix is not kept on the thread.
+        let mut labels = Vec::with_capacity(test.len());
+        self.predict_with(test.series(), &mut BatchScratch::default(), &mut labels)
+            .map(|()| labels)
+            .expect("predict before fit, or on series of another shape")
     }
 }
 
@@ -470,7 +421,7 @@ mod tests {
         for name in ["meta", "kernels", "ridge"] {
             w.section(name, current.section(name).unwrap().to_vec());
         }
-        let mut legacy = Rocket::load_bytes(&w.finish()).unwrap();
+        let legacy = Rocket::load_bytes(&w.finish()).unwrap();
         assert_eq!(legacy.transform(&test), rocket.transform(&test));
         assert_eq!(legacy.predict(&test), rocket.predict(&test));
         // Saving again writes the slot as 0: the current layout.

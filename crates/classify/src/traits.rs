@@ -18,13 +18,11 @@ pub trait Classifier {
 
     /// Predict a label for every series of `test`.
     ///
-    /// Takes `&mut self` only because deep models cache activations
-    /// during forward passes. The feature-based models (ROCKET,
-    /// MiniRocket, ridge) additionally expose an equivalent `&self`
-    /// prediction path (`predict_fitted` / `try_predict_features`) so
-    /// serving threads can share one fitted model without locking; this
-    /// trait method is a thin wrapper around it for those types.
-    fn predict(&mut self, test: &Dataset) -> Vec<Label>;
+    /// Each persistable model's `predict` runs the path of its fallible
+    /// `predict_into(&self, &[Mts], &mut Vec<Label>)`, the serving
+    /// layer's entry point, so offline and served labels are
+    /// bit-identical.
+    fn predict(&self, test: &Dataset) -> Vec<Label>;
 
     /// Convenience: fit then score accuracy on `test`.
     fn fit_score(

@@ -47,8 +47,8 @@ fn assert_round_trip(mut model: SavedModel, test: &Dataset, before: &[usize]) {
     let mut loaded = load_model_bytes(&bytes).expect("load saved bytes");
     assert_eq!(loaded.kind(), model.kind());
     let after = match &mut loaded {
-        SavedModel::Rocket(m) => m.predict_fitted(test).unwrap(),
-        SavedModel::MiniRocket(m) => m.predict_fitted(test).unwrap(),
+        SavedModel::Rocket(m) => m.predict(test),
+        SavedModel::MiniRocket(m) => m.predict(test),
         SavedModel::Ridge(m) => m.try_predict_features(&flatten(test)).unwrap(),
         SavedModel::InceptionTime(m) => m.predict(test),
     };

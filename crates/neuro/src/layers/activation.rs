@@ -60,13 +60,18 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = self.infer(x);
+        self.cached_in = Some(x.clone());
+        self.cached_out = Some(out.clone());
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let mut out = x.clone();
         for v in out.data_mut() {
             *v = self.apply(*v);
         }
-        self.cached_in = Some(x.clone());
-        self.cached_out = Some(out.clone());
         out
     }
 
@@ -119,14 +124,14 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let mut a = Activation::relu();
-        let y = a.forward(&sample(), true);
+        let y = a.forward(&sample());
         assert_eq!(y.data(), &[0.0, 0.0, 0.0, 0.2, 1.0, 3.0]);
     }
 
     #[test]
     fn sigmoid_range_and_midpoint() {
         let mut a = Activation::sigmoid();
-        let y = a.forward(&sample(), true);
+        let y = a.forward(&sample());
         assert!(y.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!((y.data()[2] - 0.5).abs() < 1e-6);
     }

@@ -153,42 +153,44 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
+    // Hot path (`tsda_analyze` R3 + A1): `infer` plus the backward
+    // cache, refreshed in place in the cache tensor's buffers. (`Self::`
+    // keeps the analyzer's name-based call graph on this impl's `infer`.)
+    #[doc(alias = "tsda::hot")]
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = Self::infer(self, x);
+        self.cached_x.get_or_insert_with(Tensor::default).copy_from(x);
+        out
+    }
+
     // Hot path (`tsda_analyze` R3 + A1): the only steady-state
     // allocation is the escaping output tensor — im2col columns come
-    // from the per-worker scratch, and the backward cache is only
-    // refreshed (in place) when training.
+    // from the per-worker scratch.
     #[doc(alias = "tsda::hot")]
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "Conv1d expects [batch, ch, time]");
         assert_eq!(x.shape()[1], self.in_ch, "Conv1d channel mismatch");
         let n = x.shape()[0];
         let t_len = x.shape()[2];
         let ick = self.in_ch * self.kernel;
         let mut out = Tensor::zeros(&[n, self.out_ch, t_len]);
-        let this = &*self;
         let x_data = x.data();
         // One batch element per work unit: workers own disjoint
         // `[out_ch, T]` output slices, so any thread count produces the
         // same bits. Nested pool calls inside the GEMM go serial.
-        Pool::global().par_chunks_mut(out.data_mut(), this.out_ch * t_len, |b, out_b| {
+        Pool::global().par_chunks_mut(out.data_mut(), self.out_ch * t_len, |b, out_b| {
             COL_SCRATCH.with(|cell| {
                 let mut col = cell.borrow_mut();
                 col.resize(ick * t_len, 0.0);
-                this.im2col(&x_data[b * this.in_ch * t_len..(b + 1) * this.in_ch * t_len], t_len, &mut col);
-                if this.use_bias {
+                self.im2col(&x_data[b * self.in_ch * t_len..(b + 1) * self.in_ch * t_len], t_len, &mut col);
+                if self.use_bias {
                     for (oc, row) in out_b.chunks_mut(t_len).enumerate() {
-                        row.fill(this.b[oc]);
+                        row.fill(self.b[oc]);
                     }
                 }
-                gemm_acc_f32(this.out_ch, ick, t_len, &this.w, &col, out_b);
+                gemm_acc_f32(self.out_ch, ick, t_len, &self.w, &col, out_b);
             });
         });
-        if train {
-            // Reuse the cache tensor's buffers; inference never copies.
-            self.cached_x.get_or_insert_with(Tensor::default).copy_from(x);
-        } else {
-            self.cached_x = None;
-        }
         out
     }
 
@@ -271,7 +273,7 @@ mod tests {
         let mut c = Conv1d::new(1, 1, 3, false, &mut rng);
         c.visit_params(&mut |p, _| p.copy_from_slice(&[0.0, 1.0, 0.0]));
         let x = Tensor::from_flat(&[1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = c.forward(&x, true);
+        let y = c.forward(&x);
         assert_eq!(y.data(), x.data());
     }
 
@@ -282,7 +284,7 @@ mod tests {
         // Kernel [1,0,0] reads x[t−1]: shifts right, zero-padding at t=0.
         c.visit_params(&mut |p, _| p.copy_from_slice(&[1.0, 0.0, 0.0]));
         let x = Tensor::from_flat(&[1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = c.forward(&x, true);
+        let y = c.forward(&x);
         assert_eq!(y.data(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -298,7 +300,7 @@ mod tests {
             }
         });
         let x = Tensor::from_flat(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = c.forward(&x, true);
+        let y = c.forward(&x);
         assert_eq!(y.data(), &[31.5, 42.5]);
     }
 

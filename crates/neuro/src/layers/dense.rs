@@ -42,7 +42,13 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = self.infer(x);
+        self.cached_x = Some(x.clone());
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Dense expects rank-2 input");
         assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
         let n = x.shape()[0];
@@ -61,7 +67,6 @@ impl Layer for Dense {
                 }
             }
         }
-        self.cached_x = Some(x.clone());
         out
     }
 
@@ -117,7 +122,7 @@ mod tests {
             }
         });
         let x = Tensor::from_flat(&[1, 2], vec![1.0, 1.0]);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         // y = [1*1+1*3+0.5, 1*2+1*4-0.5] = [4.5, 5.5]
         assert_eq!(y.data(), &[4.5, 5.5]);
     }
@@ -136,7 +141,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut d = Dense::new(2, 2, &mut rng);
         let x = Tensor::from_flat(&[1, 2], vec![1.0, 2.0]);
-        let _ = d.forward(&x, true);
+        let _ = d.forward(&x);
         let _ = d.backward(&Tensor::from_flat(&[1, 2], vec![1.0, 1.0]));
         d.zero_grad();
         d.visit_params(&mut |_, g| assert!(g.iter().all(|&v| v == 0.0)));
@@ -147,6 +152,6 @@ mod tests {
     fn rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut d = Dense::new(3, 2, &mut rng);
-        let _ = d.forward(&Tensor::zeros(&[1, 4]), true);
+        let _ = d.forward(&Tensor::zeros(&[1, 4]));
     }
 }

@@ -151,26 +151,21 @@ impl Gru {
         }
         out
     }
-}
 
-impl Layer for Gru {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    /// Run the recurrence over `x`. `cache`, when given, receives what
+    /// backpropagation through time needs from every step.
+    fn run(&self, x: &Tensor, mut cache: Option<&mut Cache>) -> Tensor {
         assert_eq!(x.shape().len(), 3, "Gru expects [batch, time, features]");
         assert_eq!(x.shape()[2], self.in_features, "Gru feature mismatch");
         let (n, t_len) = (x.shape()[0], x.shape()[1]);
         let h = self.hidden;
         let mut out = Tensor::zeros(&[n, t_len, h]);
         let mut h_state = vec![0.0f32; n * h];
-        let mut cache = Cache {
-            x: x.clone(),
-            h_prev: Vec::with_capacity(t_len),
-            z: Vec::with_capacity(t_len),
-            r: Vec::with_capacity(t_len),
-            hcand: Vec::with_capacity(t_len),
-        };
         for t in 0..t_len {
             let xt = Self::step_input(x, t);
-            cache.h_prev.push(h_state.clone());
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.h_prev.push(h_state.clone());
+            }
 
             let mut az = self.bz.repeat(n);
             let mut ar = self.br.repeat(n);
@@ -194,12 +189,32 @@ impl Layer for Gru {
                 let dst = (b * t_len + t) * self.hidden;
                 out.data_mut()[dst..dst + h].copy_from_slice(&h_state[b * h..(b + 1) * h]);
             }
-            cache.z.push(z);
-            cache.r.push(r);
-            cache.hcand.push(hcand);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.z.push(z);
+                cache.r.push(r);
+                cache.hcand.push(hcand);
+            }
         }
+        out
+    }
+}
+
+impl Layer for Gru {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut cache = Cache {
+            x: x.clone(),
+            h_prev: Vec::new(),
+            z: Vec::new(),
+            r: Vec::new(),
+            hcand: Vec::new(),
+        };
+        let out = self.run(x, Some(&mut cache));
         self.cache = Some(cache);
         out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.run(x, None)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -312,7 +327,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut gru = Gru::new(3, 5, &mut rng);
         let x = Tensor::zeros(&[2, 4, 3]);
-        let y = gru.forward(&x, true);
+        let y = gru.forward(&x);
         assert_eq!(y.shape(), &[2, 4, 5]);
     }
 
@@ -321,7 +336,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut gru = Gru::new(2, 3, &mut rng);
         let x = Tensor::zeros(&[1, 5, 2]);
-        let y = gru.forward(&x, true);
+        let y = gru.forward(&x);
         // With zero bias and zero input the candidate is tanh(0)=0, so h
         // stays exactly 0.
         assert!(y.data().iter().all(|&v| v == 0.0));
@@ -335,7 +350,7 @@ mod tests {
         // (memory) but differ from the impulse response.
         let mut x = Tensor::zeros(&[1, 6, 1]);
         x.data_mut()[0] = 1.0;
-        let y = gru.forward(&x, true);
+        let y = gru.forward(&x);
         let h1: Vec<f32> = y.data()[4..8].to_vec();
         let h5: Vec<f32> = y.data()[20..24].to_vec();
         assert!(h1.iter().any(|&v| v.abs() > 1e-4));
@@ -365,8 +380,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let x = Tensor::from_flat(&[1, 2, 2], vec![0.1, 0.2, 0.3, 0.4]);
-        let y1 = Gru::new(2, 3, &mut StdRng::seed_from_u64(7)).forward(&x, true);
-        let y2 = Gru::new(2, 3, &mut StdRng::seed_from_u64(7)).forward(&x, true);
+        let y1 = Gru::new(2, 3, &mut StdRng::seed_from_u64(7)).forward(&x);
+        let y2 = Gru::new(2, 3, &mut StdRng::seed_from_u64(7)).forward(&x);
         assert_eq!(y1.data(), y2.data());
     }
 }

@@ -1,8 +1,13 @@
 //! Trainable layers with explicit forward/backward passes.
 //!
-//! A [`Layer`] caches whatever its backward pass needs during `forward`,
-//! accumulates parameter gradients during `backward`, and exposes its
-//! parameters to optimisers through [`Layer::visit_params`].
+//! A [`Layer`] has two forward passes. `forward(&mut self)` trains: it
+//! uses batch statistics where the layer has them (batch norm) and
+//! caches whatever `backward` needs. `infer(&self)` evaluates: it uses
+//! the running statistics and caches nothing, so one fitted network can
+//! serve from many threads without a lock. Both share each layer's
+//! arithmetic; outside batch norm, `forward` is `infer` plus the cache.
+//! `backward` accumulates parameter gradients, and optimisers reach the
+//! parameters through [`Layer::visit_params`].
 
 mod activation;
 mod conv;
@@ -22,9 +27,12 @@ use crate::tensor::Tensor;
 
 /// A differentiable layer.
 pub trait Layer {
-    /// Compute the output, caching intermediates for `backward`.
-    /// `train` switches batch-norm (and future dropout) behaviour.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Training forward: batch statistics, and intermediates cached
+    /// for `backward`.
+    fn forward(&mut self, x: &Tensor) -> Tensor;
+
+    /// Evaluation forward: running statistics, nothing cached.
+    fn infer(&self, x: &Tensor) -> Tensor;
 
     /// Given the loss gradient w.r.t. the last `forward` output,
     /// accumulate parameter gradients and return the gradient w.r.t. the
@@ -57,14 +65,15 @@ pub trait Layer {
     }
 }
 
-/// A sequential stack of layers, itself a [`Layer`].
+/// A sequential stack of layers, itself a [`Layer`]. Its layers are
+/// `Send + Sync`, so a fitted stack can serve from many threads.
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Box<dyn Layer + Send + Sync>>,
 }
 
 impl Sequential {
     /// Build from a vector of boxed layers.
-    pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
+    pub fn new(layers: Vec<Box<dyn Layer + Send + Sync>>) -> Self {
         Self { layers }
     }
 
@@ -80,10 +89,18 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for l in &mut self.layers {
-            cur = l.forward(&cur, train);
+            cur = l.forward(&cur);
+        }
+        cur
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut cur = x.clone();
+        for l in &self.layers {
+            cur = l.infer(&cur);
         }
         cur
     }
@@ -131,7 +148,7 @@ pub mod gradcheck {
 
     /// Check input gradients of `layer` at `x` by central differences.
     pub fn check_input_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
-        let out = layer.forward(x, true);
+        let out = layer.forward(x);
         let (_, gout) = seeded_loss_grad(&out);
         layer.zero_grad();
         let gin = layer.backward(&gout);
@@ -139,10 +156,10 @@ pub mod gradcheck {
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
-            let (lp, _) = seeded_loss_grad(&layer.forward(&xp, true));
+            let (lp, _) = seeded_loss_grad(&layer.forward(&xp));
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let (lm, _) = seeded_loss_grad(&layer.forward(&xm, true));
+            let (lm, _) = seeded_loss_grad(&layer.forward(&xm));
             let num = (lp - lm) / (2.0 * eps);
             let ana = gin.data()[i];
             assert!(
@@ -151,12 +168,12 @@ pub mod gradcheck {
             );
         }
         // Restore cache for callers that keep using the layer.
-        let _ = layer.forward(x, true);
+        let _ = layer.forward(x);
     }
 
     /// Check parameter gradients of `layer` at `x` by central differences.
     pub fn check_param_grad<L: Layer>(layer: &mut L, x: &Tensor, tol: f32) {
-        let out = layer.forward(x, true);
+        let out = layer.forward(x);
         let (_, gout) = seeded_loss_grad(&out);
         layer.zero_grad();
         let _ = layer.backward(&gout);
@@ -179,9 +196,9 @@ pub mod gradcheck {
                     });
                 };
                 bump(layer, eps);
-                let (lp, _) = seeded_loss_grad(&layer.forward(x, true));
+                let (lp, _) = seeded_loss_grad(&layer.forward(x));
                 bump(layer, -2.0 * eps);
-                let (lm, _) = seeded_loss_grad(&layer.forward(x, true));
+                let (lm, _) = seeded_loss_grad(&layer.forward(x));
                 bump(layer, eps);
                 let num = (lp - lm) / (2.0 * eps);
                 let ana = buf_grads[i];
@@ -193,7 +210,7 @@ pub mod gradcheck {
             }
         }
         let _ = param_idx;
-        let _ = layer.forward(x, true);
+        let _ = layer.forward(x);
     }
 }
 
@@ -212,7 +229,7 @@ mod tests {
             Box::new(Dense::new(5, 2, &mut rng)),
         ]);
         let x = Tensor::from_flat(&[4, 3], (0..12).map(|v| v as f32 * 0.1 - 0.5).collect());
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         assert_eq!(y.shape(), &[4, 2]);
         net.zero_grad();
         let gin = net.backward(&Tensor::from_flat(&[4, 2], vec![1.0; 8]));

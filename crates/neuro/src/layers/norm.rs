@@ -38,71 +38,97 @@ impl BatchNorm1d {
             cached_std: vec![0.0; channels],
         }
     }
-}
 
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    /// `(batch, time)` extents of `x`, after checking its layout.
+    fn extents(&self, x: &Tensor) -> (usize, usize) {
         assert_eq!(x.shape().len(), 3, "BatchNorm1d expects [batch, ch, time]");
         assert_eq!(x.shape()[1], self.channels, "BatchNorm1d channel mismatch");
-        let n = x.shape()[0];
-        let t_len = x.shape()[2];
-        let count = (n * t_len) as f32;
-        let mut out = x.clone();
-        let mut xhat = x.clone();
-        // Each `(batch, channel)` run is a contiguous `t_len` slice of
-        // the row-major tensor; statistics use the striped fixed-tree
-        // reductions from `tsda_linalg::simd` (per-sample partials added
-        // in ascending batch order), and the normalise+affine pass is
-        // one fused kernel per run with the division pre-inverted. All
-        // of it is bit-identical across dispatch levels.
+        (x.shape()[0], x.shape()[2])
+    }
+
+    /// The normalise + affine pass both statistics sources share:
+    /// channel `c` is normalised with `stats[c] = (mean, std)`. Each
+    /// `(batch, channel)` run is a contiguous `t_len` slice of the
+    /// row-major tensor and goes through one fused kernel call with the
+    /// division pre-inverted, bit-identical across dispatch levels.
+    /// `xhat`, when given, receives the normalised values; otherwise
+    /// they land in a one-run scratch.
+    fn normalise(&self, x: &Tensor, stats: &[(f32, f32)], mut xhat: Option<&mut [f32]>) -> Tensor {
+        let (n, t_len) = self.extents(x);
         let lvl = simd::level();
-        let row = |b: usize, c: usize| (b * self.channels + c) * t_len;
-        for c in 0..self.channels {
-            let (mean, var) = if train {
-                let mut sum = 0.0;
-                for b in 0..n {
-                    sum += simd::sum_f32_with(lvl, &x.data()[row(b, c)..row(b, c) + t_len]);
-                }
-                let mean = sum / count;
-                let mut var = 0.0;
-                for b in 0..n {
-                    var += simd::sumsq_centered_f32_with(
-                        lvl,
-                        &x.data()[row(b, c)..row(b, c) + t_len],
-                        mean,
-                    );
-                }
-                var /= count;
-                self.running_mean[c] =
-                    (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean;
-                self.running_var[c] =
-                    (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[c], self.running_var[c])
-            };
-            let std = (var + self.eps).sqrt();
-            self.cached_std[c] = std;
+        let mut out = Tensor::zeros(x.shape());
+        let mut scratch = vec![0.0; t_len];
+        for (c, &(mean, std)) in stats.iter().enumerate() {
             let inv_std = 1.0 / std;
-            let (gamma, beta) = (self.gamma[c], self.beta[c]);
             for b in 0..n {
-                let r = row(b, c);
+                let r = (b * self.channels + c) * t_len;
+                let xh = match xhat.as_deref_mut() {
+                    Some(xhat) => &mut xhat[r..r + t_len],
+                    None => &mut scratch[..],
+                };
                 simd::bn_forward_f32_with(
                     lvl,
                     &x.data()[r..r + t_len],
                     mean,
                     inv_std,
-                    gamma,
-                    beta,
-                    &mut xhat.data_mut()[r..r + t_len],
+                    self.gamma[c],
+                    self.beta[c],
+                    xh,
                     &mut out.data_mut()[r..r + t_len],
                 );
             }
         }
-        if train {
-            self.cached_xhat = Some(xhat);
-        }
         out
+    }
+}
+
+impl Layer for BatchNorm1d {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let (n, t_len) = self.extents(x);
+        let count = (n * t_len) as f32;
+        // Batch statistics per channel over the batch and time axes, by
+        // the striped fixed-tree reductions from `tsda_linalg::simd`
+        // (per-sample partials added in ascending batch order).
+        let lvl = simd::level();
+        let channels = self.channels;
+        let run = |b: usize, c: usize| {
+            let r = (b * channels + c) * t_len;
+            &x.data()[r..r + t_len]
+        };
+        let mut stats = Vec::with_capacity(channels);
+        for c in 0..channels {
+            let mut sum = 0.0;
+            for b in 0..n {
+                sum += simd::sum_f32_with(lvl, run(b, c));
+            }
+            let mean = sum / count;
+            let mut var = 0.0;
+            for b in 0..n {
+                var += simd::sumsq_centered_f32_with(lvl, run(b, c), mean);
+            }
+            var /= count;
+            self.running_mean[c] =
+                (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean;
+            self.running_var[c] =
+                (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
+            let std = (var + self.eps).sqrt();
+            self.cached_std[c] = std;
+            stats.push((mean, std));
+        }
+        let mut xhat = Tensor::zeros(x.shape());
+        let out = self.normalise(x, &stats, Some(xhat.data_mut()));
+        self.cached_xhat = Some(xhat);
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let stats: Vec<(f32, f32)> = self
+            .running_mean
+            .iter()
+            .zip(&self.running_var)
+            .map(|(&mean, &var)| (mean, (var + self.eps).sqrt()))
+            .collect();
+        self.normalise(x, &stats, None)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -165,7 +191,7 @@ mod tests {
     #[test]
     fn training_output_is_standardised() {
         let mut bn = BatchNorm1d::new(2);
-        let y = bn.forward(&sample(), true);
+        let y = bn.forward(&sample());
         for c in 0..2 {
             let vals: Vec<f32> = (0..2)
                 .flat_map(|b| (0..3).map(move |t| (b, t)))
@@ -184,10 +210,10 @@ mod tests {
         let mut bn = BatchNorm1d::new(2);
         // Saturate the running stats with many training passes.
         for _ in 0..200 {
-            let _ = bn.forward(&sample(), true);
+            let _ = bn.forward(&sample());
         }
-        let y_eval = bn.forward(&sample(), false);
-        let y_train = bn.forward(&sample(), true);
+        let y_eval = bn.infer(&sample());
+        let y_train = bn.forward(&sample());
         // Converged running stats ≈ batch stats, so outputs agree loosely.
         for (a, b) in y_eval.data().iter().zip(y_train.data()) {
             assert!((a - b).abs() < 0.15, "{a} vs {b}");
@@ -212,7 +238,7 @@ mod tests {
             p[0] = if p[0] == 1.0 { 2.0 } else { 3.0 } // gamma=2, beta=3
         });
         let x = Tensor::from_flat(&[1, 1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = bn.forward(&x, true);
+        let y = bn.forward(&x);
         let mean: f32 = y.data().iter().sum::<f32>() / 4.0;
         assert!((mean - 3.0).abs() < 1e-5);
     }

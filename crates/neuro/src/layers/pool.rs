@@ -22,16 +22,14 @@ impl MaxPool1dSame {
         assert!(kernel % 2 == 1, "MaxPool1dSame requires an odd kernel");
         Self { kernel, cached_argmax: Vec::new(), cached_shape: Vec::new() }
     }
-}
 
-impl Layer for MaxPool1dSame {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    /// Max over each clipped window. `argmax`, when given, receives the
+    /// input position each output was taken from.
+    fn pool(&self, x: &Tensor, mut argmax: Option<&mut [usize]>) -> Tensor {
         assert_eq!(x.shape().len(), 3, "MaxPool1dSame expects [batch, ch, time]");
         let (n, c, t_len) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let half = self.kernel / 2;
         let mut out = Tensor::zeros(x.shape());
-        self.cached_argmax = vec![0; n * c * t_len];
-        self.cached_shape = x.shape().to_vec();
         for b in 0..n {
             for ch in 0..c {
                 for t in 0..t_len {
@@ -47,11 +45,27 @@ impl Layer for MaxPool1dSame {
                         }
                     }
                     *out.at3_mut(b, ch, t) = best;
-                    self.cached_argmax[(b * c + ch) * t_len + t] = best_i;
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax[(b * c + ch) * t_len + t] = best_i;
+                    }
                 }
             }
         }
         out
+    }
+}
+
+impl Layer for MaxPool1dSame {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let mut argmax = vec![0; x.len()];
+        let out = self.pool(x, Some(&mut argmax));
+        self.cached_argmax = argmax;
+        self.cached_shape = x.shape().to_vec();
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pool(x, None)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -95,10 +109,15 @@ impl Default for GlobalAvgPool1d {
 }
 
 impl Layer for GlobalAvgPool1d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let out = self.infer(x);
+        self.cached_shape = x.shape().to_vec();
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 3, "GlobalAvgPool1d expects [batch, ch, time]");
         let (n, c, t_len) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        self.cached_shape = x.shape().to_vec();
         let mut out = Tensor::zeros(&[n, c]);
         for b in 0..n {
             for ch in 0..c {
@@ -144,7 +163,7 @@ mod tests {
     fn maxpool_takes_window_maximum() {
         let mut p = MaxPool1dSame::new(3);
         let x = Tensor::from_flat(&[1, 1, 5], vec![1.0, 5.0, 2.0, 0.0, 3.0]);
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         assert_eq!(y.data(), &[5.0, 5.0, 5.0, 3.0, 3.0]);
     }
 
@@ -152,7 +171,7 @@ mod tests {
     fn maxpool_edges_clip_window() {
         let mut p = MaxPool1dSame::new(3);
         let x = Tensor::from_flat(&[1, 1, 3], vec![-1.0, -5.0, -2.0]);
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         // No zero padding: edge windows see only real values.
         assert_eq!(y.data(), &[-1.0, -1.0, -2.0]);
     }
@@ -161,7 +180,7 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut p = MaxPool1dSame::new(3);
         let x = Tensor::from_flat(&[1, 1, 4], vec![0.0, 9.0, 1.0, 2.0]);
-        let _ = p.forward(&x, true);
+        let _ = p.forward(&x);
         let g = p.backward(&Tensor::from_flat(&[1, 1, 4], vec![1.0, 1.0, 1.0, 1.0]));
         // Positions 0..2 all take max at index 1; position 3 at index 3.
         assert_eq!(g.data(), &[0.0, 3.0, 0.0, 1.0]);
@@ -171,7 +190,7 @@ mod tests {
     fn gap_averages_time() {
         let mut p = GlobalAvgPool1d::new();
         let x = Tensor::from_flat(&[1, 2, 2], vec![1.0, 3.0, 10.0, 20.0]);
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         assert_eq!(y.data(), &[2.0, 15.0]);
         assert_eq!(y.shape(), &[1, 2]);
     }

@@ -130,15 +130,15 @@ mod tests {
         let mut opt = Adam::new(0.05);
         let x = Tensor::from_flat(&[4, 1], vec![-1.0, 0.0, 1.0, 2.0]);
         let y = Tensor::from_flat(&[4, 1], vec![-2.0, 0.0, 2.0, 4.0]);
-        let initial = mse_loss(&net.forward(&x, true), &y).0;
+        let initial = mse_loss(&net.forward(&x), &y).0;
         for _ in 0..300 {
-            let out = net.forward(&x, true);
+            let out = net.forward(&x);
             let (_, grad) = mse_loss(&out, &y);
             net.zero_grad();
             let _ = net.backward(&grad);
             opt.step(&mut net);
         }
-        let fin = mse_loss(&net.forward(&x, true), &y).0;
+        let fin = mse_loss(&net.forward(&x), &y).0;
         assert!(fin < initial / 100.0, "initial {initial}, final {fin}");
     }
 
@@ -153,7 +153,7 @@ mod tests {
         let y = Tensor::from_flat(&[1, 1], vec![1e6]);
         let mut before = Vec::new();
         net.visit_params(&mut |p, _| before.extend_from_slice(p));
-        let out = net.forward(&x, true);
+        let out = net.forward(&x);
         let (_, grad) = mse_loss(&out, &y);
         net.zero_grad();
         let _ = net.backward(&grad);
@@ -173,7 +173,7 @@ mod tests {
         let mut b = Dense::new(3, 3, &mut rng);
         let mut opt = Adam::new(0.01);
         let xa = Tensor::zeros(&[1, 2]);
-        let _ = a.forward(&xa, true);
+        let _ = a.forward(&xa);
         let _ = a.backward(&Tensor::zeros(&[1, 2]));
         opt.step(&mut a);
         opt.step(&mut b);
@@ -196,15 +196,15 @@ mod sgd_tests {
         let mut opt = Sgd::new(0.05, 0.9);
         let x = Tensor::from_flat(&[4, 1], vec![-1.0, 0.0, 1.0, 2.0]);
         let y = Tensor::from_flat(&[4, 1], vec![-3.0, 0.0, 3.0, 6.0]);
-        let initial = mse_loss(&net.forward(&x, true), &y).0;
+        let initial = mse_loss(&net.forward(&x), &y).0;
         for _ in 0..200 {
-            let out = net.forward(&x, true);
+            let out = net.forward(&x);
             let (_, grad) = mse_loss(&out, &y);
             net.zero_grad();
             let _ = net.backward(&grad);
             opt.step(&mut net);
         }
-        let fin = mse_loss(&net.forward(&x, true), &y).0;
+        let fin = mse_loss(&net.forward(&x), &y).0;
         assert!(fin < initial / 50.0, "initial {initial}, final {fin}");
     }
 
@@ -217,7 +217,7 @@ mod sgd_tests {
         let y = Tensor::from_flat(&[1, 1], vec![5.0]);
         let mut w_before = Vec::new();
         net.visit_params(&mut |p, _| w_before.extend_from_slice(p));
-        let out = net.forward(&x, true);
+        let out = net.forward(&x);
         let (_, grad) = mse_loss(&out, &y);
         net.zero_grad();
         let _ = net.backward(&grad);

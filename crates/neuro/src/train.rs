@@ -64,23 +64,29 @@ pub fn restore_params<L: Layer + ?Sized>(layer: &mut L, snap: &[Vec<f32>]) {
 }
 
 /// Predicted class per row of a logits tensor.
-pub fn predict_classes<L: Layer + ?Sized>(model: &mut L, x: &Tensor) -> Vec<usize> {
-    let probs = softmax(&model.forward(x, false));
-    let c = probs.shape()[1];
-    (0..probs.shape()[0])
-        .map(|i| {
-            let row = &probs.data()[i * c..(i + 1) * c];
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .unwrap_or(0)
-        })
-        .collect()
+pub fn predict_classes<L: Layer + ?Sized>(model: &L, x: &Tensor) -> Vec<usize> {
+    let mut classes = Vec::with_capacity(x.shape()[0]);
+    argmax_rows(&softmax(&model.infer(x)), &mut classes);
+    classes
+}
+
+/// Append the arg-max column of every row of a `[n, classes]` tensor
+/// to `out`: the predicted class per row of class probabilities or
+/// logits.
+pub fn argmax_rows(scores: &Tensor, out: &mut Vec<usize>) {
+    let c = scores.shape()[1];
+    out.extend((0..scores.shape()[0]).map(|i| {
+        let row = &scores.data()[i * c..(i + 1) * c];
+        row.iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(j, _)| j)
+            .unwrap_or(0)
+    }));
 }
 
 /// Classification accuracy of `model` on `(x, y)`.
-pub fn evaluate_accuracy<L: Layer + ?Sized>(model: &mut L, x: &Tensor, y: &[usize]) -> f64 {
+pub fn evaluate_accuracy<L: Layer + ?Sized>(model: &L, x: &Tensor, y: &[usize]) -> f64 {
     if y.is_empty() {
         return 0.0;
     }
@@ -121,7 +127,7 @@ pub fn train_classifier<L: Layer + ?Sized, R: Rng>(
         for chunk in order.chunks(cfg.batch_size.max(1)) {
             let xb = x_train.select_rows(chunk);
             let yb: Vec<usize> = chunk.iter().map(|&i| y_train[i]).collect();
-            let logits = model.forward(&xb, true);
+            let logits = model.forward(&xb);
             let (loss, grad) = softmax_cross_entropy(&logits, &yb);
             model.zero_grad();
             let _ = model.backward(&grad);
@@ -179,7 +185,7 @@ pub fn lr_range_test<L: Layer + ?Sized, R: Rng>(
         let idx: Vec<usize> = (0..batch_size.min(n)).map(|_| rng.gen_range(0..n)).collect();
         let xb = x_train.select_rows(&idx);
         let yb: Vec<usize> = idx.iter().map(|&i| y_train[i]).collect();
-        let logits = model.forward(&xb, true);
+        let logits = model.forward(&xb);
         let (loss, grad) = softmax_cross_entropy(&logits, &yb);
         model.zero_grad();
         let _ = model.backward(&grad);
@@ -238,7 +244,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let report = train_classifier(&mut model, &x, &y, &xv, &yv, &cfg, &mut rng);
         assert!(report.best_val_accuracy > 0.95, "{report:?}");
-        assert!(evaluate_accuracy(&mut model, &xv, &yv) > 0.95);
+        assert!(evaluate_accuracy(&model, &xv, &yv) > 0.95);
     }
 
     #[test]
@@ -272,18 +278,18 @@ mod tests {
         use crate::layers::BatchNorm1d;
         let mut bn = BatchNorm1d::new(1);
         let x = Tensor::from_flat(&[2, 1, 2], vec![5.0, 5.0, 7.0, 7.0]);
-        let _ = bn.forward(&x, true);
+        let _ = bn.forward(&x);
         let snap = snapshot_params(&mut bn);
         // Drift the running stats with very different data.
         let y = Tensor::from_flat(&[2, 1, 2], vec![-90.0, -90.0, -110.0, -110.0]);
         for _ in 0..50 {
-            let _ = bn.forward(&y, true);
+            let _ = bn.forward(&y);
         }
         restore_params(&mut bn, &snap);
         // Eval-mode output on the original data must reflect the ORIGINAL
         // running stats (mean ≈ 0.6 after one step), not the drifted ones;
         // with drifted stats the normalised output would be ≈ +3 sigma.
-        let out = bn.forward(&x, false);
+        let out = bn.infer(&x);
         assert!(
             out.data().iter().all(|v| v.abs() < 10.0),
             "restored running stats are wrong: {:?}",
@@ -293,9 +299,9 @@ mod tests {
         // output would be far away.
         let mut drifted = BatchNorm1d::new(1);
         for _ in 0..50 {
-            let _ = drifted.forward(&y, true);
+            let _ = drifted.forward(&y);
         }
-        let bad = drifted.forward(&x, false);
+        let bad = drifted.infer(&x);
         assert!(bad.data().iter().any(|v| v.abs() > 5.0));
     }
 
@@ -313,9 +319,9 @@ mod tests {
 
     #[test]
     fn predict_classes_matches_argmax() {
-        let mut model = mlp(12);
+        let model = mlp(12);
         let (x, _) = blobs(10, 13);
-        let preds = predict_classes(&mut model, &x);
+        let preds = predict_classes(&model, &x);
         assert_eq!(preds.len(), 10);
         assert!(preds.iter().all(|&p| p < 2));
     }

@@ -1,4 +1,4 @@
-//! Allocation-count harness for `Conv1d::forward` — the runtime check
+//! Allocation-count harness for `Conv1d::infer` — the runtime check
 //! behind the `tsda_analyze` A1 scratch rule. Once the per-worker
 //! im2col scratch is warm for a shape, the inference forward pass
 //! allocates only the escaping output tensor: a *fixed number* of
@@ -52,24 +52,24 @@ fn input(n: usize, ch: usize, t_len: usize) -> Tensor {
 }
 
 /// Allocator calls for one warm inference forward at the given length.
-fn warm_forward_allocs(conv: &mut Conv1d, n: usize, ch: usize, t_len: usize) -> u64 {
+fn warm_forward_allocs(conv: &Conv1d, n: usize, ch: usize, t_len: usize) -> u64 {
     let x = input(n, ch, t_len);
     // Warm this shape: pool worker scratch resizes to `ick·T` on the
     // first pass, then stays.
     for _ in 0..4 {
-        let _ = conv.forward(&x, false);
+        let _ = conv.infer(&x);
     }
     let before = ALLOCS.load(Ordering::SeqCst);
-    let _ = conv.forward(&x, false);
+    let _ = conv.infer(&x);
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
 #[test]
 fn warm_conv_forward_alloc_count_is_independent_of_series_length() {
     let mut rng = StdRng::seed_from_u64(7);
-    let mut conv = Conv1d::new(3, 5, 9, true, &mut rng);
-    let short = warm_forward_allocs(&mut conv, 6, 3, 64);
-    let long = warm_forward_allocs(&mut conv, 6, 3, 256);
+    let conv = Conv1d::new(3, 5, 9, true, &mut rng);
+    let short = warm_forward_allocs(&conv, 6, 3, 64);
+    let long = warm_forward_allocs(&conv, 6, 3, 256);
     assert_eq!(
         short, long,
         "warm forward allocations must not scale with T (T=64: {short}, T=256: {long}); \

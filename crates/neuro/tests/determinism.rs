@@ -27,7 +27,7 @@ fn conv_pass(threads: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut conv = Conv1d::new(3, 5, 9, true, &mut rng);
     let x = input(6, 3, 40);
-    let y = conv.forward(&x, true);
+    let y = conv.forward(&x);
     let gout = input(6, 5, 40);
     let gx = conv.backward(&gout);
     let mut grads = Vec::new();
@@ -55,7 +55,7 @@ fn conv1d_gemm_matches_reference_forward() {
     let mut rng = StdRng::seed_from_u64(9);
     let mut conv = Conv1d::new(4, 6, 5, true, &mut rng);
     let x = input(3, 4, 33);
-    let lowered = conv.forward(&x, true);
+    let lowered = conv.forward(&x);
     let reference = conv.forward_reference(&x);
     for (l, r) in lowered.data().iter().zip(reference.data()) {
         assert!((l - r).abs() <= 1e-4 * (1.0 + r.abs()), "{l} vs {r}");

@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn relu_output_is_nonnegative_and_sparse_grad(x in tensor2(3, 6)) {
         let mut act = Activation::relu();
-        let y = act.forward(&x, true);
+        let y = act.forward(&x);
         prop_assert!(y.data().iter().all(|&v| v >= 0.0));
         let g = act.backward(&Tensor::from_flat(y.shape(), vec![1.0; y.len()]));
         for (gv, &xv) in g.data().iter().zip(x.data()) {
@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn gap_output_bounded_by_input_extremes(x in tensor3(2, 3, 5)) {
         let mut gap = GlobalAvgPool1d::new();
-        let y = gap.forward(&x, true);
+        let y = gap.forward(&x);
         let lo = x.data().iter().cloned().fold(f32::INFINITY, f32::min);
         let hi = x.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         prop_assert!(y.data().iter().all(|&v| v >= lo - 1e-6 && v <= hi + 1e-6));
@@ -106,7 +106,7 @@ proptest! {
     #[test]
     fn maxpool_dominates_input(x in tensor3(1, 2, 8)) {
         let mut p = MaxPool1dSame::new(3);
-        let y = p.forward(&x, true);
+        let y = p.forward(&x);
         for (o, i) in y.data().iter().zip(x.data()) {
             prop_assert!(o >= i, "pooled {} < input {}", o, i);
         }
@@ -126,10 +126,10 @@ proptest! {
             }
             buf_index += 1;
         });
-        let y1 = d.forward(&x, true);
+        let y1 = d.forward(&x);
         let mut sx = x.clone();
         sx.scale(scale);
-        let y2 = d.forward(&sx, true);
+        let y2 = d.forward(&sx);
         for (a, b) in y1.data().iter().zip(y2.data()) {
             prop_assert!((a * scale - b).abs() < 1e-3 * (1.0 + a.abs() * scale.abs()), "{} vs {}", a * scale, b);
         }

@@ -716,7 +716,7 @@ mod tests {
         config: BatchConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> (Batcher, Arc<ServerStats>, Dataset, Vec<usize>) {
-        let (mut rocket, ds) = fitted_rocket();
+        let (rocket, ds) = fitted_rocket();
         let offline = rocket.predict(&ds);
         let mut registry = ModelRegistry::new();
         registry

@@ -1,28 +1,21 @@
 //! Named-model registry: load many saved models at startup, validate
 //! request shapes, and run batched predictions.
 //!
-//! ROCKET, MiniRocket, and ridge are served through their `&self`
-//! prediction paths, so batch workers read the registry through a plain
-//! `Arc` with no locking. InceptionTime's forward pass caches
-//! activations (`&mut`), so it sits behind a `Mutex`; contention is nil
-//! because only that model's single batch worker ever locks it.
+//! Every model kind predicts through [`SavedModel::predict_into`],
+//! which takes `&self` and reads only fitted state, so batch workers
+//! share the registry through a plain `Arc` with no lock, and a
+//! panicked batch leaves no poisoned model behind.
 
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use tsda_classify::persist::SavedModel;
-use tsda_classify::{InceptionTime, MiniRocket, RidgeClassifier, Rocket};
+use tsda_classify::ridge::RIDGE_KIND;
 use tsda_core::parallel;
-use tsda_core::{Dataset, Label, Mts, TsdaError};
+use tsda_core::{Label, Mts, TsdaError};
 
-enum ModelInner {
-    Rocket(Rocket),
-    MiniRocket(MiniRocket),
-    /// Served over flattened raw series values (dimension-major), the
-    /// linear baseline: `n_features = n_dims × series_len`.
-    Ridge(RidgeClassifier),
-    Inception(Mutex<InceptionTime>),
+enum Model {
+    Saved(SavedModel),
     /// Constant-label model with a trivially allocation-free predict
     /// path; exists so the allocation-count harness can measure the
     /// batcher itself rather than a real model's transform.
@@ -36,47 +29,39 @@ pub struct ModelEntry {
     n_dims: usize,
     series_len: usize,
     n_classes: usize,
-    inner: ModelInner,
+    model: Model,
 }
 
 impl ModelEntry {
-    /// Wrap a loaded model under a registry name.
-    ///
-    /// Fails on unfitted models (no input contract to validate against).
-    /// For ridge the expected feature count must factor as
-    /// `n_dims × series_len`, supplied by the caller.
+    /// Wrap a loaded model under a registry name. Fails on unfitted
+    /// models (no input contract to validate against). A ridge file
+    /// stores only its feature count, which `ridge_shape` factors as
+    /// `n_dims × series_len` (one dimension when `None`).
     pub fn from_saved(
         name: &str,
         model: SavedModel,
         ridge_shape: Option<(usize, usize)>,
     ) -> Result<Self, TsdaError> {
-        let kind = model.kind();
-        let unfitted = || TsdaError::InvalidParameter(format!("model {name:?} is not fitted"));
-        let (n_dims, series_len, n_classes, inner) = match model {
-            SavedModel::Rocket(m) => {
-                let (d, l) = m.input_shape().ok_or_else(unfitted)?;
-                (d, l, m.n_classes(), ModelInner::Rocket(m))
+        let (d, l) = model.input_shape().ok_or_else(|| {
+            TsdaError::InvalidParameter(format!("model {name:?} is not fitted"))
+        })?;
+        let (n_dims, series_len) = match ridge_shape.filter(|_| model.kind() == RIDGE_KIND) {
+            Some((rd, rl)) if rd * rl != d * l => {
+                return Err(TsdaError::Shape(format!(
+                    "ridge shape {rd}×{rl} does not match {l} features"
+                )))
             }
-            SavedModel::MiniRocket(m) => {
-                let (d, l) = m.input_shape().ok_or_else(unfitted)?;
-                (d, l, m.n_classes(), ModelInner::MiniRocket(m))
-            }
-            SavedModel::Ridge(m) => {
-                let p = m.n_features().ok_or_else(unfitted)?;
-                let (d, l) = ridge_shape.unwrap_or((1, p));
-                if d * l != p {
-                    return Err(TsdaError::Shape(format!(
-                        "ridge shape {d}×{l} does not match {p} features"
-                    )));
-                }
-                (d, l, m.n_classes(), ModelInner::Ridge(m))
-            }
-            SavedModel::InceptionTime(m) => {
-                let (d, l) = m.input_shape().ok_or_else(unfitted)?;
-                (d, l, m.n_classes(), ModelInner::Inception(Mutex::new(m)))
-            }
+            Some(shape) => shape,
+            None => (d, l),
         };
-        Ok(Self { name: name.to_string(), kind, n_dims, series_len, n_classes, inner })
+        Ok(Self {
+            name: name.to_string(),
+            kind: model.kind(),
+            n_dims,
+            series_len,
+            n_classes: model.n_classes(),
+            model: Model::Saved(model),
+        })
     }
 
     /// Constant-label entry for tests that need a model whose predict
@@ -91,28 +76,13 @@ impl ModelEntry {
             n_dims,
             series_len,
             n_classes: label + 1,
-            inner: ModelInner::Stub(label),
+            model: Model::Stub(label),
         }
-    }
-
-    /// Registry name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Codec kind tag.
-    pub fn kind(&self) -> &'static str {
-        self.kind
     }
 
     /// Required input shape `(n_dims, series_len)`.
     pub fn input_shape(&self) -> (usize, usize) {
         (self.n_dims, self.series_len)
-    }
-
-    /// Number of output classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
     }
 
     /// Check one request series against the input contract.
@@ -130,17 +100,15 @@ impl ModelEntry {
         Ok(())
     }
 
-    /// Run one batched prediction into a caller-owned label buffer, so
-    /// a batch worker's steady state reuses one allocation across
-    /// batches; a warm ROCKET batch allocates nothing at all. All series
-    /// must already satisfy [`Self::validate`]; the batch shares a
-    /// single transform/forward pass, which runs on the calling thread
-    /// ([`parallel::serial`]): a serving-size batch takes less time than
-    /// the thread spawns the pool would make for it.
-    /// Per-series results are independent of the batch composition, so
-    /// each label is bit-identical to what offline
-    /// `Classifier::predict` returns for that series alone. `out` is
-    /// cleared first and holds exactly `series.len()` labels on success.
+    /// Run one batched prediction into a caller-owned label buffer; a
+    /// warm ROCKET, MiniRocket or ridge batch allocates nothing at all.
+    /// All series must already satisfy [`Self::validate`]. The batch
+    /// shares one transform/forward pass on the calling thread
+    /// ([`parallel::serial`]): a serving-size batch takes less time
+    /// than the pool's thread spawns would. Each label is bit-identical
+    /// to what offline `Classifier::predict` returns for that series
+    /// alone. `out` is cleared first and holds `series.len()` labels on
+    /// success.
     pub fn predict_batch_into(
         &self,
         series: &[Mts],
@@ -150,46 +118,13 @@ impl ModelEntry {
         if series.is_empty() {
             return Ok(());
         }
-        parallel::serial(|| self.predict_serial(series, out))
-    }
-
-    /// [`Self::predict_batch_into`]'s model call, for a non-empty batch.
-    fn predict_serial(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
-        let labels = match &self.inner {
-            ModelInner::Rocket(m) => return m.predict_into(series, out),
-            ModelInner::MiniRocket(m) => m.predict_fitted(&self.to_dataset(series))?,
-            ModelInner::Ridge(m) => {
-                let rows: Vec<Vec<f64>> =
-                    series.iter().map(|s| s.as_flat().to_vec()).collect();
-                m.try_predict_features(&rows)?
-            }
-            ModelInner::Inception(m) => {
-                let ds = self.to_dataset(series);
-                // lock-order: the model mutex is a leaf lock. predict
-                // needs `&mut` (buffer reuse inside the network), so the
-                // guard spans the forward pass — pure compute on this
-                // thread, no IO and no other lock (L2-clean
-                // by the blocking-reachability check).
-                let mut guard = m.lock().map_err(|_| {
-                    TsdaError::Numerical("inception model poisoned by a panicked batch".into())
-                })?;
-                tsda_classify::Classifier::predict(&mut *guard, &ds)
-            }
-            ModelInner::Stub(label) => {
+        match &self.model {
+            Model::Saved(m) => parallel::serial(|| m.predict_into(series, out)),
+            Model::Stub(label) => {
                 out.resize(series.len(), *label);
-                return Ok(());
+                Ok(())
             }
-        };
-        out.extend_from_slice(&labels);
-        Ok(())
-    }
-
-    fn to_dataset(&self, series: &[Mts]) -> Dataset {
-        let mut ds = Dataset::empty(self.n_classes.max(1));
-        for s in series {
-            ds.push(s.clone(), 0);
         }
-        ds
     }
 
     /// Describe the entry for the `list` endpoint.
@@ -239,11 +174,6 @@ impl ModelRegistry {
         self.models.keys().cloned().collect()
     }
 
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
     /// True when no models are registered.
     pub fn is_empty(&self) -> bool {
         self.models.is_empty()
@@ -259,8 +189,14 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use rand::Rng;
+    use tsda_classify::persist::load_model_bytes;
+    use tsda_classify::{
+        Classifier, InceptionTime, InceptionTimeConfig, MiniRocket, MiniRocketConfig,
+        RidgeClassifier, Rocket, RocketConfig,
+    };
     use tsda_core::rng::seeded;
-    use tsda_classify::{Classifier, RocketConfig};
+    use tsda_core::Dataset;
+    use tsda_neuro::train::TrainConfig;
 
     fn toy_dataset(seed: u64) -> Dataset {
         let mut ds = Dataset::empty(2);
@@ -280,21 +216,57 @@ mod tests {
         ds
     }
 
+    /// Every served kind, saved and loaded as `tsda_serve` does it,
+    /// validates request shapes and answers each series like offline,
+    /// whole test set and in batches of 1 and 2.
     #[test]
     fn entry_validates_shapes_and_matches_offline_predict() {
         let train = toy_dataset(1);
         let test = toy_dataset(2);
+        let flatten = |ds: &Dataset| -> Vec<Vec<f64>> {
+            ds.series().iter().map(|s| s.as_flat().to_vec()).collect()
+        };
         let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
         rocket.fit(&train, None, &mut seeded(3));
-        let offline = rocket.predict(&test);
-        let entry = ModelEntry::from_saved("r", SavedModel::Rocket(rocket), None).unwrap();
-        assert_eq!(entry.input_shape(), (1, 24));
-        assert!(entry.validate(&Mts::zeros(1, 24)).is_ok());
-        assert!(entry.validate(&Mts::zeros(2, 24)).is_err());
-        assert!(entry.validate(&Mts::zeros(1, 23)).is_err());
-        let mut served = Vec::new();
-        entry.predict_batch_into(test.series(), &mut served).unwrap();
-        assert_eq!(served, offline);
+        let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
+        minirocket.fit(&train, None, &mut seeded(3));
+        let mut ridge = RidgeClassifier::default();
+        ridge.fit_features(&flatten(&train), train.labels(), train.n_classes());
+        let mut inception = InceptionTime::new(InceptionTimeConfig {
+            filters: 2,
+            depth: 3,
+            kernel_sizes: [9, 5, 3],
+            ensemble: 1,
+            train: TrainConfig { max_epochs: 3, batch_size: 16, patience: 3, lr: 1e-3 },
+            use_lr_range_test: false,
+            ..InceptionTimeConfig::default()
+        });
+        inception.fit(&train, None, &mut seeded(3));
+        let kinds = [
+            (rocket.predict(&test), SavedModel::Rocket(rocket)),
+            (minirocket.predict(&test), SavedModel::MiniRocket(minirocket)),
+            (ridge.try_predict_features(&flatten(&test)).unwrap(), SavedModel::Ridge(ridge)),
+            (inception.predict(&test), SavedModel::InceptionTime(inception)),
+        ];
+        for (offline, mut model) in kinds {
+            let kind = model.kind();
+            let loaded = load_model_bytes(&model.save_bytes().unwrap()).unwrap();
+            let ridge_shape = (kind == RIDGE_KIND).then_some((1, 24));
+            let entry = ModelEntry::from_saved(kind, loaded, ridge_shape).unwrap();
+            assert_eq!(entry.input_shape(), (1, 24), "{kind}");
+            assert!(entry.validate(&Mts::zeros(1, 24)).is_ok(), "{kind}");
+            assert!(entry.validate(&Mts::zeros(2, 24)).is_err(), "{kind}");
+            assert!(entry.validate(&Mts::zeros(1, 23)).is_err(), "{kind}");
+            let mut served = Vec::new();
+            entry.predict_batch_into(test.series(), &mut served).unwrap();
+            assert_eq!(served, offline, "{kind}, whole test set");
+            for b in [1, 2] {
+                for (i, batch) in test.series().chunks(b).enumerate() {
+                    entry.predict_batch_into(batch, &mut served).unwrap();
+                    assert_eq!(served, offline[i * b..i * b + batch.len()], "{kind}, b{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! the process (connection side, ring, ticket pool, worker scratch,
 //! stub predict). A second phase holds the NDJSON augment reply
 //! encoder to the same rule: a warm reply buffer takes a whole series.
-//! A third holds a real model to it: a ROCKET model fitted, saved and
-//! loaded as the server does predicts warm batches of 1 and 2.
+//! A third holds the served models to it: ROCKET, MiniRocket and ridge,
+//! each fitted, saved and loaded as the server does, predict warm
+//! batches of 1 and 2 without an allocator call. InceptionTime's layers
+//! still return fresh tensors, so its count is printed, not asserted.
 //!
 //! Everything lives in one `#[test]` on purpose: the counter is
 //! process-global, and sibling tests in the same binary would run on
@@ -18,9 +20,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tsda_classify::persist::{load_model_bytes, SavedModel};
-use tsda_classify::{Classifier, Rocket, RocketConfig};
+use tsda_classify::{
+    Classifier, InceptionTime, InceptionTimeConfig, MiniRocket, MiniRocketConfig, RidgeClassifier,
+    Rocket, RocketConfig,
+};
 use tsda_core::rng::seeded;
-use tsda_core::{Dataset, Mts};
+use tsda_core::{Dataset, Label, Mts};
+use tsda_neuro::train::TrainConfig;
 use tsda_serve::batcher::{BatchConfig, Batcher};
 use tsda_serve::{protocol, ModelEntry, ModelRegistry, PipelineRegistry, ServerStats};
 
@@ -134,31 +140,82 @@ fn warm_batcher_answers_requests_without_allocating() {
     let during = ALLOCS.load(Ordering::SeqCst) - before;
     assert_eq!(during, 0, "a warm augment reply must not allocate ({during} allocations)");
 
-    // Served ROCKET on a 3×30 two-class problem.
+    // Served ROCKET on a 3×30 two-class problem, and MiniRocket
+    // (168 features), ridge and InceptionTime (`tsda_serve --fast`
+    // configs) on a RacketSports-shaped 6×30 one.
+    let train = two_class(3);
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
+    rocket.fit(&train, None, &mut seeded(5));
+    let offline = rocket.predict(&train);
+    let calls = warm_served_allocs(SavedModel::Rocket(rocket), &train, &offline);
+    assert_eq!(calls, [0, 0], "a warm served ROCKET predict must not allocate (b1, b2: {calls:?})");
+
+    let train = two_class(6);
+    let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
+    minirocket.fit(&train, None, &mut seeded(5));
+    let offline = minirocket.predict(&train);
+    let calls = warm_served_allocs(SavedModel::MiniRocket(minirocket), &train, &offline);
+    assert_eq!(calls, [0, 0], "a warm served MiniRocket predict must not allocate (b1, b2: {calls:?})");
+
+    let rows: Vec<Vec<f64>> = train.series().iter().map(|s| s.as_flat().to_vec()).collect();
+    let mut ridge = RidgeClassifier::default();
+    ridge.fit_features(&rows, train.labels(), train.n_classes());
+    let offline = ridge.try_predict_features(&rows).expect("fitted ridge");
+    let calls = warm_served_allocs(SavedModel::Ridge(ridge), &train, &offline);
+    assert_eq!(calls, [0, 0], "a warm served ridge predict must not allocate (b1, b2: {calls:?})");
+
+    let mut inception = InceptionTime::new(InceptionTimeConfig {
+        filters: 2,
+        depth: 3,
+        kernel_sizes: [9, 5, 3],
+        ensemble: 1,
+        train_fraction: 2.0 / 3.0,
+        train: TrainConfig { max_epochs: 3, batch_size: 16, patience: 3, lr: 1e-3 },
+        use_lr_range_test: false,
+    });
+    inception.fit(&train, None, &mut seeded(5));
+    let offline = inception.predict(&train);
+    let [b1, b2] = warm_served_allocs(SavedModel::InceptionTime(inception), &train, &offline);
+    println!(
+        "warm served InceptionTime: {} allocator calls per b1 predict, {} per b2 predict \
+         ({b1} and {b2} over 8 each)",
+        b1 / 8,
+        b2 / 8
+    );
+}
+
+/// A two-class `dims × 30` training set of 16 series.
+fn two_class(dims: usize) -> Dataset {
     let mut train = Dataset::empty(2);
     for i in 0..16 {
         let freq = if i % 2 == 0 { 0.3 } else { 0.9 };
-        let dims = (0..3)
+        let dims = (0..dims)
             .map(|d| (0..30).map(|t| (t as f64 * freq + d as f64 + i as f64 * 0.1).sin()).collect())
             .collect();
         train.push(Mts::from_dims(dims), i % 2);
     }
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
-    rocket.fit(&train, None, &mut seeded(5));
-    let offline = rocket.predict(&train);
-    let mut saved = SavedModel::Rocket(rocket);
-    let loaded = load_model_bytes(&saved.save_bytes().expect("save")).expect("load");
-    let entry = ModelEntry::from_saved("rocket", loaded, None).expect("fitted model");
+    train
+}
+
+/// Save and load `model` as the server does, warm it on batches of 1
+/// and 2 of `train`'s series, then predict 8 more of each size, whose
+/// labels must equal `offline`: the allocator calls of the 8 predicts
+/// at b1 and of the 8 at b2.
+fn warm_served_allocs(mut model: SavedModel, train: &Dataset, offline: &[Label]) -> [u64; 2] {
+    let loaded = load_model_bytes(&model.save_bytes().expect("save")).expect("load");
+    let ridge_shape = matches!(loaded, SavedModel::Ridge(_)).then(|| train.series()[0].shape());
+    let entry = ModelEntry::from_saved(model.kind(), loaded, ridge_shape).expect("fitted model");
     let batches: Vec<&[Mts]> = (0..8).flat_map(|i| [&train.series()[i..=i], &train.series()[i..i + 2]]).collect();
     let mut labels = Vec::with_capacity(2);
     for batch in &batches {
         entry.predict_batch_into(batch, &mut labels).expect("predict");
     }
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut calls = [0; 2];
     for (i, batch) in batches.iter().enumerate() {
+        let before = ALLOCS.load(Ordering::SeqCst);
         entry.predict_batch_into(batch, &mut labels).expect("predict");
-        assert_eq!(labels, offline[i / 2..i / 2 + batch.len()]);
+        calls[i % 2] += ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(labels, offline[i / 2..i / 2 + batch.len()], "{}", model.kind());
     }
-    let during = ALLOCS.load(Ordering::SeqCst) - before;
-    assert_eq!(during, 0, "a warm served ROCKET predict must not allocate ({during} allocations)");
+    calls
 }

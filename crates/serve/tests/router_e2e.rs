@@ -270,7 +270,7 @@ fn router_chaos_replica_kill_loses_nothing() {
         .expect("dataset meta");
     let tt = tsda_datasets::synth::generate(meta, &tsda_datasets::synth::GenOptions::ci(7));
     let offline = match saved {
-        SavedModel::Rocket(mut m) => m.predict(&tt.test),
+        SavedModel::Rocket(m) => m.predict(&tt.test),
         other => panic!("expected a rocket model, got {:?}", other.kind()),
     };
 

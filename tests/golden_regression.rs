@@ -122,3 +122,107 @@ fn table4_racketsports_ci_seed7_matches_golden_at_1_and_4_threads() {
         accuracy_table("Table IV (golden row: ci profile, seed 7)", cfg.model.label(), &[row])
     });
 }
+
+/// Every value of `vals`, `{:?}`-formatted (shortest round-trip), so a
+/// single flipped bit anywhere changes the rendering.
+fn render_row<T: std::fmt::Debug>(out: &mut String, name: &str, vals: &[T]) {
+    use std::fmt::Write;
+    let cells: Vec<String> = vals.iter().map(|v| format!("{v:?}")).collect();
+    writeln!(out, "{name} = [{}]", cells.join(", ")).expect("writing to a String");
+}
+
+/// The inference and generation paths of the neural layers and of
+/// MiniRocket, which no table golden reaches bit for bit: InceptionTime
+/// (`tsda_serve --fast` config) probabilities and labels, MiniRocket's
+/// 168 features and labels, and one seeded batch from each generative
+/// augmenter built on `tsda_neuro` (TimeGAN, VAE, latent-space
+/// auto-encoder, diffusion). The held-out set carries one series with
+/// missing values, so the imputation on the predict path is pinned
+/// too.
+#[test]
+fn inference_ci_seed7_matches_golden_at_1_and_4_threads() {
+    use tsda_augment::generative::latent::LatentSpaceAugmenter;
+    use tsda_augment::generative::probabilistic::DiffusionSampler;
+    use tsda_augment::generative::timegan::{TimeGan, TimeGanConfig};
+    use tsda_augment::generative::vae::VaeAugmenter;
+    use tsda_augment::Augmenter;
+    use tsda_classify::encode::{dataset_to_tensor3, preprocess_dataset};
+    use tsda_classify::{Classifier, InceptionTime, InceptionTimeConfig, MiniRocket, MiniRocketConfig};
+    use tsda_core::rng::seeded;
+    use tsda_core::{Dataset, Mts};
+    use tsda_neuro::train::TrainConfig;
+
+    check_golden("inference_ci_seed7.txt", || {
+        let meta = ALL_DATASETS
+            .iter()
+            .find(|m| m.name == "RacketSports")
+            .expect("RacketSports is in the registry");
+        let data = generate(meta, &ScaleProfile::Ci.gen_options(SEED));
+        let train = &data.train;
+        let mut held_out = Dataset::empty(data.test.n_classes());
+        for (i, (s, label)) in data.test.iter().enumerate() {
+            let mut dims: Vec<Vec<f64>> = (0..s.n_dims()).map(|d| s.dim(d).to_vec()).collect();
+            if i == 0 {
+                dims[1][0] = f64::NAN;
+                dims[1][5] = f64::NAN;
+                dims[4][29] = f64::NAN;
+            }
+            held_out.push(Mts::from_dims(dims), label);
+        }
+        let mut out = String::new();
+
+        out.push_str("# InceptionTime, tsda_serve --fast config\n");
+        let mut inception = InceptionTime::new(InceptionTimeConfig {
+            filters: 2,
+            depth: 3,
+            kernel_sizes: [9, 5, 3],
+            ensemble: 1,
+            train_fraction: 2.0 / 3.0,
+            train: TrainConfig { max_epochs: 3, batch_size: 16, patience: 3, lr: 1e-3 },
+            use_lr_range_test: false,
+        });
+        inception.fit(train, None, &mut seeded(SEED));
+        let proba = inception.predict_proba(&dataset_to_tensor3(&held_out));
+        let c = proba.shape()[1];
+        for (i, row) in proba.data().chunks(c).enumerate() {
+            render_row(&mut out, &format!("proba[{i}]"), row);
+        }
+        render_row(&mut out, "labels", &inception.predict(&held_out));
+
+        out.push_str("# MiniRocket, 168 features\n");
+        let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
+        minirocket.fit(train, None, &mut seeded(SEED + 1));
+        let features = minirocket.transform(&preprocess_dataset(&held_out));
+        for (i, row) in features.iter().take(4).enumerate() {
+            render_row(&mut out, &format!("transform[{i}]"), row);
+        }
+        render_row(&mut out, "labels", &minirocket.predict(&held_out));
+
+        let timegan = TimeGan::new(TimeGanConfig {
+            hidden: 6,
+            latent: 4,
+            iters_embedding: 40,
+            iters_supervised: 30,
+            iters_joint: 20,
+            gamma: 1.0,
+            lr: 2e-3,
+            batch: 8,
+        });
+        let generators: [(&str, &dyn Augmenter); 4] = [
+            ("TimeGan 40/30/20", &timegan),
+            ("VaeAugmenter", &VaeAugmenter::default()),
+            ("LatentSpaceAugmenter", &LatentSpaceAugmenter::default()),
+            ("DiffusionSampler", &DiffusionSampler::default()),
+        ];
+        for (k, (name, aug)) in generators.into_iter().enumerate() {
+            out.push_str(&format!("# {name}, class 0\n"));
+            let batch = aug
+                .synthesize(train, 0, 2, &mut seeded(SEED + 10 + k as u64))
+                .expect("class 0 has members");
+            for (i, s) in batch.iter().enumerate() {
+                render_row(&mut out, &format!("series[{i}]"), s.as_flat());
+            }
+        }
+        out
+    });
+}
