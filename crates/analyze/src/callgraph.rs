@@ -183,24 +183,42 @@ impl CallGraph {
                         candidates
                     }
                 } else if call.is_method {
-                    match file.and_then(|s| tobj.narrow(&s.toks, call)) {
-                        // `dyn Trait` slot receiver: only admitted
-                        // implementors and the trait's default methods.
-                        Some((tr, admitted)) => candidates
-                            .iter()
-                            .copied()
-                            .filter(|&c| {
-                                let owner = fns[c].owner.as_deref();
-                                (fns[c].impl_trait.as_deref() == Some(tr)
-                                    && owner.is_some_and(|o| admitted.contains(o)))
-                                    || (fns[c].owner_is_trait && owner == Some(tr))
-                            })
-                            .collect(),
-                        None => candidates
-                            .iter()
-                            .copied()
-                            .filter(|&c| fns[c].owner.is_some())
-                            .collect(),
+                    // `self.m(..)` in an impl of a concrete type that
+                    // defines a `self`-receiver `m`: only that type's
+                    // `m`s. (A trait default body keeps every
+                    // candidate: its `self` is any implementor.)
+                    let on_self = file.is_some_and(|s| {
+                        call.tok >= 2
+                            && s.toks[call.tok - 1].is_punct('.')
+                            && s.toks[call.tok - 2].is_ident("self")
+                    });
+                    let own: Vec<FnId> = if on_self && f.owner.is_some() && !f.owner_is_trait {
+                        candidates.iter().copied().filter(|&c| fns[c].owner == f.owner).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    if !own.is_empty() {
+                        own
+                    } else {
+                        match file.and_then(|s| tobj.narrow(&s.toks, call)) {
+                            // `dyn Trait` slot receiver: only admitted
+                            // implementors and the trait's default methods.
+                            Some((tr, admitted)) => candidates
+                                .iter()
+                                .copied()
+                                .filter(|&c| {
+                                    let owner = fns[c].owner.as_deref();
+                                    (fns[c].impl_trait.as_deref() == Some(tr)
+                                        && owner.is_some_and(|o| admitted.contains(o)))
+                                        || (fns[c].owner_is_trait && owner == Some(tr))
+                                })
+                                .collect(),
+                            None => candidates
+                                .iter()
+                                .copied()
+                                .filter(|&c| fns[c].owner.is_some())
+                                .collect(),
+                        }
                     }
                 } else {
                     let same_crate: Vec<FnId> = candidates

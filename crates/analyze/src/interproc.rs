@@ -297,7 +297,8 @@ fn statements(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<std::ops::Range
 
 /// Does this statement span discard its value? `let _ = ...` always
 /// does; a bare call statement (`f(x);` / `x.f();` / `T::f(x);`) does
-/// unless the value is consumed (`?`, `=`, control flow, `.await`).
+/// unless the value is consumed (`?`, `=`, control flow, `.await`, or a
+/// trailing `.expect(..)` / `.unwrap()`, whose panic is P1's business).
 fn discard_shape(toks: &[Tok], stmt: std::ops::Range<usize>) -> Option<Discard> {
     let s = stmt.start;
     if toks.get(s).is_some_and(|t| t.is_ident("let"))
@@ -322,10 +323,34 @@ fn discard_shape(toks: &[Tok], stmt: std::ops::Range<usize>) -> Option<Discard> 
         let t = &toks[i];
         t.is_punct('?') || t.is_punct('=') || t.is_ident("await") || t.is_ident("return")
     });
-    if consumes {
+    if consumes || ends_in_unwrap(toks, stmt) {
         return None;
     }
     Some(Discard::BareStatement)
+}
+
+/// Does the statement end in a `.expect(..)` or `.unwrap()` call?
+fn ends_in_unwrap(toks: &[Tok], stmt: std::ops::Range<usize>) -> bool {
+    if stmt.is_empty() || !toks[stmt.end - 1].is_punct(')') {
+        return false;
+    }
+    // Walk back to the `(` matching the final `)`.
+    let mut depth = 0usize;
+    let mut open = stmt.end;
+    while open > stmt.start {
+        open -= 1;
+        if toks[open].is_punct(')') {
+            depth += 1;
+        } else if toks[open].is_punct('(') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    open >= stmt.start + 2
+        && (toks[open - 1].is_ident("expect") || toks[open - 1].is_ident("unwrap"))
+        && toks[open - 2].is_punct('.')
 }
 
 // ---------------------------------------------------------------- R3

@@ -225,6 +225,18 @@ fn r3_narrows_dyn_calls_to_coerced_implementors() {
 }
 
 #[test]
+fn r3_resolves_self_calls_to_the_callers_own_type() {
+    let r = fixture_report();
+    // `Lean::run` is hot and calls `self.step(..)`; `Heavy::step`
+    // shares the name and allocates, but `self` is a `Lean`.
+    assert!(
+        !r.findings.iter().any(|f| f.message.contains("Lean::run") || f.message.contains("Heavy")),
+        "self call resolved past its own type: {:#?}",
+        r.findings
+    );
+}
+
+#[test]
 fn r3v2_clears_allocations_that_escape_into_the_out_param() {
     let r = fixture_report();
     // fixture_dyn::fill is hot and allocates (vec! + .extend()), but

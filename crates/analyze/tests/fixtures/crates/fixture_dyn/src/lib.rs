@@ -6,7 +6,8 @@
 //! call-graph narrowing must reach `Fast::apply`'s allocations and
 //! must NOT reach `Slow::apply`'s. `fill` pins R3v2: its staging
 //! allocation provably flows into the caller's `&mut` out-param, so
-//! the escape analysis clears it even on the hot path.
+//! the escape analysis clears it even on the hot path. `Lean::run`
+//! pins the `self.m(..)` narrowing to the caller's own type.
 
 pub trait Step {
     fn apply(&self, x: usize) -> usize;
@@ -55,6 +56,32 @@ pub fn drive(r: &Runner, x: usize) -> usize {
 pub fn fill(out: &mut Vec<usize>, n: usize) {
     let staged = vec![0usize; n];
     out.extend(staged);
+}
+
+/// Two owners of one method name: `self.step(..)` in `Lean`'s hot
+/// `run` can only be `Lean::step`, so `Heavy::step`'s allocations stay
+/// unreached.
+pub struct Lean;
+pub struct Heavy;
+
+impl Lean {
+    /// R3 root whose only callee is its own type's `step`.
+    #[doc(alias = "tsda::hot")]
+    pub fn run(&self, x: usize) -> usize {
+        self.step(x)
+    }
+
+    fn step(&self, x: usize) -> usize {
+        x + 1
+    }
+}
+
+impl Heavy {
+    pub fn step(&self, x: usize) -> usize {
+        let mut tmp = Vec::new();
+        tmp.push(x);
+        x
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! (`handle`) reaches the panic in `fixture_r1b` through two hops, so
 //! the integration test can pin the full reported chain. Also hosts
 //! one violation each for R2, R3, and R4, plus an allowlisted R4
-//! accumulation.
+//! accumulation and two `Result`s that R2 must not flag.
 
 /// R1 root (configured in the fixture analyze.toml).
 pub fn handle() {
@@ -22,6 +22,13 @@ pub fn save() -> Result<(), String> {
 /// R2: discards a workspace `Result` via `let _ =`.
 pub fn sloppy() {
     let _ = save();
+}
+
+/// Not R2: a trailing `.expect(..)` or `.unwrap()` consumes the
+/// `Result` (whether it may panic is P1's question, not R2's).
+pub fn strict() {
+    save().expect("saved");
+    save().unwrap();
 }
 
 /// R3 root: tagged hot, reaches the allocations in `helper`.

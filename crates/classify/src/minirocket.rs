@@ -10,7 +10,7 @@
 //! case).
 
 use crate::encode::{check_shapes, preprocess_dataset, preprocess_into};
-use crate::ridge::{with_batch_scratch, BatchScratch, RidgeClassifier};
+use crate::ridge::{BatchScratch, RidgeClassifier, SeriesScratch};
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -137,25 +137,23 @@ impl MiniRocket {
         self.ridge.n_classes()
     }
 
-    /// Predict `series` into `out` (cleared first), allocating nothing
-    /// once this thread's scratch has grown to the batch.
-    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
-        with_batch_scratch(|scratch| self.predict_with(series, scratch, out))
+    /// Item step of a served predict (see `Rocket`'s).
+    pub(crate) fn push_row(&self, s: &Mts, scratch: &mut BatchScratch) -> Result<(), TsdaError> {
+        check_shapes(std::slice::from_ref(s), self.input_shape())?;
+        self.ridge
+            .push_row(s, self.n_features(), scratch, |s, row, clean| self.series_row(s, row, clean))
     }
 
-    /// The one predict path (see `Rocket`'s).
-    fn predict_with(
-        &self,
-        series: &[Mts],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Label>,
-    ) -> Result<(), TsdaError> {
-        check_shapes(series, self.input_shape())?;
-        self.ridge.predict_rows(series, self.n_features(), scratch, out, |s, row, (clean, conv)| {
-            let s = preprocess_into(s, std::mem::take(clean));
-            self.transform_row(&s, row, conv);
-            *clean = s.into_flat();
-        })
+    /// The ridge head, whose `label_rows` is the batch step.
+    pub(crate) fn head(&self) -> &RidgeClassifier {
+        &self.ridge
+    }
+
+    /// One series' feature row (see `Rocket`'s).
+    fn series_row(&self, s: &Mts, row: &mut [f64], (clean, conv): &mut SeriesScratch) {
+        let s = preprocess_into(s, std::mem::take(clean));
+        self.transform_row(&s, row, conv);
+        *clean = s.into_flat();
     }
 
     /// Serialise the fitted state into a [`tsda_core::codec`] container.
@@ -308,10 +306,14 @@ impl Classifier for MiniRocket {
     }
 
     fn predict(&self, test: &Dataset) -> Vec<Label> {
-        // Buffers of its own, freed on return (see `Rocket`'s).
-        let mut labels = Vec::with_capacity(test.len());
-        self.predict_with(test.series(), &mut BatchScratch::default(), &mut labels)
-            .map(|()| labels)
+        // Item-step transforms over the pool, then the head (see
+        // `Rocket`'s).
+        check_shapes(test.series(), self.input_shape())
+            .and_then(|()| {
+                self.ridge.predict_rows(test.series(), self.n_features(), |s, row, clean| {
+                    self.series_row(s, row, clean)
+                })
+            })
             .expect("predict before fit, or on series of another shape")
     }
 }

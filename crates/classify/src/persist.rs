@@ -20,7 +20,7 @@
 
 use crate::inception::{InceptionTime, INCEPTION_KIND};
 use crate::minirocket::{MiniRocket, MINIROCKET_KIND};
-use crate::ridge::{RidgeClassifier, RIDGE_KIND};
+use crate::ridge::{with_batch_scratch, BatchScratch, RidgeClassifier, RIDGE_KIND};
 use crate::rocket::{Rocket, ROCKET_KIND};
 use std::path::Path;
 use tsda_core::codec::CodecReader;
@@ -70,15 +70,48 @@ impl SavedModel {
         }
     }
 
-    /// The wrapped model's `predict_into`: labels bit-identical to its
-    /// offline `predict`, through `&self`, so no lock is needed.
-    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+    /// Item step: `s`'s share of a predict, run on its own as a serving
+    /// lane takes the series off its queue. ROCKET, MiniRocket and ridge
+    /// write `s`'s feature row as the next row of `scratch`;
+    /// InceptionTime, whose forward pass is the batched part, does
+    /// nothing here.
+    pub fn item_step(&self, s: &Mts, scratch: &mut BatchScratch) -> Result<(), TsdaError> {
         match self {
-            Self::Rocket(m) => m.predict_into(series, out),
-            Self::MiniRocket(m) => m.predict_into(series, out),
-            Self::Ridge(m) => m.predict_into(series, out),
+            Self::Rocket(m) => m.push_row(s, scratch),
+            Self::MiniRocket(m) => m.push_row(s, scratch),
+            Self::Ridge(m) => m.push_series(s, scratch),
+            Self::InceptionTime(_) => Ok(()),
+        }
+    }
+
+    /// Batch step: labels for `series`, whose item steps ran into
+    /// `scratch` in order, into `out` (cleared first). ROCKET,
+    /// MiniRocket and ridge run the ridge head over the rows;
+    /// InceptionTime runs its forward pass over the batch.
+    pub fn batch_step(
+        &self,
+        series: &[Mts],
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
+        match self {
+            Self::Rocket(m) => m.head().label_rows(series.len(), scratch, out),
+            Self::MiniRocket(m) => m.head().label_rows(series.len(), scratch, out),
+            Self::Ridge(m) => m.label_rows(series.len(), scratch, out),
             Self::InceptionTime(m) => m.predict_into(series, out),
         }
+    }
+
+    /// Label `series` into `out` on this thread: each series' item step,
+    /// then the batch step, over this thread's [`BatchScratch`]. Labels
+    /// are bit-identical to the wrapped model's offline `predict`, and
+    /// only fitted state is read, so no lock is needed.
+    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
+        with_batch_scratch(|scratch| {
+            let items = series.iter().try_for_each(|s| self.item_step(s, scratch));
+            let batch = self.batch_step(series, scratch, out);
+            items.and(batch)
+        })
     }
 
     /// Serialise the wrapped model (takes `&mut self` because the

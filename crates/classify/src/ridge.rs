@@ -5,6 +5,16 @@
 //! statistics, alpha swept over `logspace(−3, 3, 10)` scored by exact
 //! leave-one-out error (see [`tsda_linalg::solve::RidgeLoocv`]), argmax
 //! decision.
+//!
+//! It is also the head of ROCKET, MiniRocket and the served linear
+//! baseline, which predict in two steps over a reused [`BatchScratch`]:
+//! an item step per series writes its feature row
+//! (`RidgeClassifier::push_row`), and the batch step labels the rows
+//! (`RidgeClassifier::label_rows`). A serving lane runs the item step
+//! as it takes each request, during its flush window, and the batch step
+//! when the window closes; offline `Classifier::predict` spreads the
+//! same row transform over the pool, then runs the same head
+//! (`RidgeClassifier::predict_rows`).
 
 use std::cell::Cell;
 use tsda_core::codec::{ByteReader, ByteWriter, CodecReader, CodecWriter};
@@ -16,23 +26,43 @@ use tsda_linalg::solve::{RidgeLoocv, RidgeSolution};
 /// Codec kind tag for saved ridge classifiers.
 pub const RIDGE_KIND: &str = "ridge";
 
-/// A batch's flat `n × width` feature matrix and one row's scores.
-pub(crate) type BatchScratch = (Vec<f64>, Vec<f64>);
+/// The feature rows of one batch and one row's class scores: what the
+/// item steps of a ROCKET, MiniRocket or ridge predict write, one row
+/// per series, and its batch step, the ridge head, labels. It keeps its
+/// capacity across batches, so once it has held the largest batch
+/// (`max_batch` on a serving lane) a predict allocates nothing.
+#[derive(Default)]
+pub struct BatchScratch {
+    /// `rows × width` features, row-major.
+    features: Vec<f64>,
+    scores: Vec<f64>,
+    /// Rows written since the last batch step.
+    rows: usize,
+}
+
 /// One series' cleaned values and convolution output.
 pub(crate) type SeriesScratch = (Vec<f64>, Vec<f64>);
 
 thread_local! {
-    static BATCH_SCRATCH: Cell<BatchScratch> = const { Cell::new((Vec::new(), Vec::new())) };
+    static BATCH_SCRATCH: Cell<BatchScratch> =
+        const { Cell::new(BatchScratch { features: Vec::new(), scores: Vec::new(), rows: 0 }) };
     static SERIES_SCRATCH: Cell<SeriesScratch> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// Run `f` with this thread's batch scratch, which keeps the capacity
-/// of the largest batch this thread has predicted: the serving path,
-/// whose batch size `max_batch` bounds.
+/// of the largest batch this thread has predicted.
 pub(crate) fn with_batch_scratch<T>(f: impl FnOnce(&mut BatchScratch) -> T) -> T {
     let mut scratch = BATCH_SCRATCH.take();
     let result = f(&mut scratch);
     BATCH_SCRATCH.set(scratch);
+    result
+}
+
+/// Run `f` with this thread's series scratch.
+fn with_series_scratch<T>(f: impl FnOnce(&mut SeriesScratch) -> T) -> T {
+    let mut scratch = SERIES_SCRATCH.take();
+    let result = f(&mut scratch);
+    SERIES_SCRATCH.set(scratch);
     result
 }
 
@@ -106,53 +136,90 @@ impl RidgeClassifier {
             .collect())
     }
 
-    /// Predict each series' flattened values (dimension-major, no
-    /// preprocessing) as one feature row, into `out`: the served linear
-    /// baseline, allocation-free once this thread's scratch is warm.
-    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
-        let p = self.solution().map(|_| self.feature_mean.len())?;
-        if let Some(s) = series.iter().find(|s| s.as_flat().len() != p) {
-            return Err(TsdaError::Shape(format!(
-                "series has {} values, model expects {p}",
-                s.as_flat().len()
-            )));
-        }
-        with_batch_scratch(|scratch| {
-            self.predict_rows(series, p, scratch, out, |s, row, _| row.copy_from_slice(s.as_flat()))
-        })
+    /// Item step of the served linear baseline: `s`'s flattened values
+    /// (dimension-major, no preprocessing) as the next row of `scratch`,
+    /// for [`Self::label_rows`].
+    pub(crate) fn push_series(&self, s: &Mts, scratch: &mut BatchScratch) -> Result<(), TsdaError> {
+        let width = s.as_flat().len();
+        self.push_row(s, width, scratch, |s, row, _| row.copy_from_slice(s.as_flat()))
     }
 
-    /// The one predict path of ROCKET, MiniRocket and served ridge:
-    /// `transform` writes series `i`'s `width` features into row `i` of
-    /// the feature matrix (one pool chunk per series, with per-thread
-    /// [`SeriesScratch`]); each row is standardised in place and scored,
+    /// The item step of ROCKET, MiniRocket and served ridge: `transform`
+    /// writes `s`'s `width` features, with this thread's
+    /// [`SeriesScratch`], as the next row of `scratch`.
+    pub(crate) fn push_row(
+        &self,
+        s: &Mts,
+        width: usize,
+        scratch: &mut BatchScratch,
+        transform: impl FnOnce(&Mts, &mut [f64], &mut SeriesScratch),
+    ) -> Result<(), TsdaError> {
+        self.check_width(width)?;
+        let start = scratch.rows * width;
+        scratch.features.resize(start + width, 0.0);
+        with_series_scratch(|series| transform(s, &mut scratch.features[start..], series));
+        scratch.rows += 1;
+        Ok(())
+    }
+
+    /// The batch step of ROCKET, MiniRocket and served ridge: each of the
+    /// `n` rows the item steps wrote is standardised in place and scored,
     /// and its arg-max class pushed to `out` (cleared first), as
-    /// [`Self::try_predict_features`] labels the same rows.
+    /// [`Self::try_predict_features`] labels the same rows. The rows are
+    /// spent either way: the next item step starts a new batch.
+    pub(crate) fn label_rows(
+        &self,
+        n: usize,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
+        let written = std::mem::take(&mut scratch.rows);
+        let sol = self.solution()?;
+        let p = self.feature_mean.len();
+        let rows = match scratch.features.get_mut(..n * p) {
+            Some(rows) if written == n && p > 0 => rows,
+            _ => {
+                return Err(TsdaError::InvalidParameter(format!(
+                    "{written} feature rows of {p} values for a batch of {n} series"
+                )))
+            }
+        };
+        out.clear();
+        for row in rows.chunks_exact_mut(p) {
+            out.push(self.label_row(sol, row, &mut scratch.scores));
+        }
+        Ok(())
+    }
+
+    /// Offline labels for a whole batch: every series' [`Self::push_row`]
+    /// transform spread over the pool (one chunk per series, each with
+    /// its thread's [`SeriesScratch`]), then [`Self::label_rows`], in
+    /// buffers of its own that are freed on return.
     pub(crate) fn predict_rows(
         &self,
         series: &[Mts],
         width: usize,
-        (features, scores): &mut BatchScratch,
-        out: &mut Vec<Label>,
         transform: impl Fn(&Mts, &mut [f64], &mut SeriesScratch) + Sync,
-    ) -> Result<(), TsdaError> {
-        let sol = self.solution()?;
-        let p = self.feature_mean.len();
+    ) -> Result<Vec<Label>, TsdaError> {
+        self.check_width(width)?;
+        let mut features = vec![0.0; series.len() * width];
+        Pool::global().par_chunks_mut(&mut features, width, |i, row| {
+            with_series_scratch(|s| transform(&series[i], row, s));
+        });
+        let mut scratch = BatchScratch { features, scores: Vec::new(), rows: series.len() };
+        let mut labels = Vec::with_capacity(series.len());
+        self.label_rows(series.len(), &mut scratch, &mut labels)?;
+        Ok(labels)
+    }
+
+    /// Refuse feature rows of `width` values: unfitted, or another width
+    /// than the fitted one.
+    fn check_width(&self, width: usize) -> Result<(), TsdaError> {
+        let p = self.solution().map(|_| self.feature_mean.len())?;
         if width != p || p == 0 {
             return Err(TsdaError::Shape(format!(
                 "feature row has {width} values, model expects {p}"
             )));
-        }
-        out.clear();
-        features.clear();
-        features.resize(series.len() * p, 0.0);
-        Pool::global().par_chunks_mut(features, p, |i, row| {
-            let mut scratch = SERIES_SCRATCH.take();
-            transform(&series[i], row, &mut scratch);
-            SERIES_SCRATCH.set(scratch);
-        });
-        for row in features.chunks_exact_mut(p) {
-            out.push(self.label_row(sol, row, scores));
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 //! kernels (§IV-D).
 
 use crate::encode::{check_shapes, preprocess_dataset, preprocess_into};
-use crate::ridge::{with_batch_scratch, BatchScratch, RidgeClassifier};
+use crate::ridge::{BatchScratch, RidgeClassifier, SeriesScratch};
 use crate::traits::Classifier;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -229,29 +229,29 @@ impl Rocket {
         self.ridge.n_classes()
     }
 
-    /// Predict `series` into `out` (cleared first), allocating nothing
-    /// once this thread's scratch has grown to the batch. The transform
-    /// and the ridge head only read fitted state, so concurrent threads
-    /// can share one model.
-    pub fn predict_into(&self, series: &[Mts], out: &mut Vec<Label>) -> Result<(), TsdaError> {
-        with_batch_scratch(|scratch| self.predict_with(series, scratch, out))
+    /// Item step of a served predict: `s`, preprocessed as
+    /// [`preprocess_dataset`] does, transformed into the next row of
+    /// `scratch` for the ridge head's batch step
+    /// ([`RidgeClassifier::label_rows`] through [`Self::head`]).
+    /// Allocates nothing once this thread's scratch is warm, and only
+    /// reads fitted state, so concurrent threads can share one model.
+    pub(crate) fn push_row(&self, s: &Mts, scratch: &mut BatchScratch) -> Result<(), TsdaError> {
+        check_shapes(std::slice::from_ref(s), self.input_shape())?;
+        self.ridge
+            .push_row(s, self.n_features(), scratch, |s, row, clean| self.series_row(s, row, clean))
     }
 
-    /// The one predict path: each series is preprocessed as
-    /// [`preprocess_dataset`] does, into per-thread scratch, and
-    /// transformed into its row for [`RidgeClassifier::predict_rows`].
-    fn predict_with(
-        &self,
-        series: &[Mts],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Label>,
-    ) -> Result<(), TsdaError> {
-        check_shapes(series, self.input_shape())?;
-        self.ridge.predict_rows(series, self.n_features(), scratch, out, |s, row, (clean, conv)| {
-            let s = preprocess_into(s, std::mem::take(clean));
-            self.transform_row(s.as_flat(), s.len(), row, conv);
-            *clean = s.into_flat();
-        })
+    /// The ridge head, whose `label_rows` is the batch step.
+    pub(crate) fn head(&self) -> &RidgeClassifier {
+        &self.ridge
+    }
+
+    /// One series' feature row: preprocessed into `clean`, then
+    /// transformed with `conv` as the convolution scratch.
+    fn series_row(&self, s: &Mts, row: &mut [f64], (clean, conv): &mut SeriesScratch) {
+        let s = preprocess_into(s, std::mem::take(clean));
+        self.transform_row(s.as_flat(), s.len(), row, conv);
+        *clean = s.into_flat();
     }
 
     /// Serialise the fitted state (kernels + ridge head) into a
@@ -369,11 +369,14 @@ impl Classifier for Rocket {
     }
 
     fn predict(&self, test: &Dataset) -> Vec<Label> {
-        // Buffers of its own, freed on return: a test set's feature
-        // matrix is not kept on the thread.
-        let mut labels = Vec::with_capacity(test.len());
-        self.predict_with(test.series(), &mut BatchScratch::default(), &mut labels)
-            .map(|()| labels)
+        // Every series' item-step transform spread over the pool, then
+        // the head.
+        check_shapes(test.series(), self.input_shape())
+            .and_then(|()| {
+                self.ridge.predict_rows(test.series(), self.n_features(), |s, row, clean| {
+                    self.series_row(s, row, clean)
+                })
+            })
             .expect("predict before fit, or on series of another shape")
     }
 }

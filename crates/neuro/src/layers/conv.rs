@@ -154,11 +154,10 @@ impl Conv1d {
 
 impl Layer for Conv1d {
     // Hot path (`tsda_analyze` R3 + A1): `infer` plus the backward
-    // cache, refreshed in place in the cache tensor's buffers. (`Self::`
-    // keeps the analyzer's name-based call graph on this impl's `infer`.)
+    // cache, refreshed in place in the cache tensor's buffers.
     #[doc(alias = "tsda::hot")]
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let out = Self::infer(self, x);
+        let out = self.infer(x);
         self.cached_x.get_or_insert_with(Tensor::default).copy_from(x);
         out
     }

@@ -2,16 +2,25 @@
 //! concurrent requests into single batched calls. Every model and every
 //! augmentation pipeline gets a lane, and all lanes are the same code —
 //! a [`JobRing`], a [`TicketPool`], [`QueueCounters`], and one worker
-//! loop — generic over the job payload. A lane supplies only its batch
-//! call: `ModelEntry::predict_batch_into` for a model, or
-//! `AugPipeline::run_each` for a pipeline.
+//! loop — generic over the job payload. A lane supplies only its work
+//! ([`LaneWork`]), in two steps: an **item step**, which the worker runs
+//! on each job as it takes it off the ring, while the window is open,
+//! and a **batch step**, which runs once when the window closes. A
+//! ROCKET, MiniRocket or ridge lane transforms each series into its
+//! feature row in the item step (`ModelEntry::item_step`) and runs the
+//! ridge head in the batch step (`ModelEntry::batch_step`); an
+//! InceptionTime or augment lane does everything in the batch step
+//! (`ModelEntry::batch_step`, `AugPipeline::run_each`).
 //!
 //! The flush policy is the classic adaptive one: the first job to
 //! arrive opens a window of `max_wait`; the batch runs when either
 //! `max_batch` jobs are pending or the window closes, whichever comes
-//! first. Under load batches fill instantly (amortising the transform /
-//! forward pass across requests); a lone request waits at most
-//! `max_wait` before running solo.
+//! first. Membership is by enqueue time: a batch holds the jobs enqueued
+//! before its window closed, however long the item steps keep the worker
+//! busy past that, and a job enqueued later opens the next batch. Under
+//! load batches fill instantly (amortising the ridge head / forward
+//! pass across requests); a lone request waits at most `max_wait`
+//! before running solo, and its item step has run by then.
 //!
 //! Queues are **bounded** (`queue_cap` jobs per lane). When a lane's
 //! queue is full, [`Batcher::submit`] refuses with
@@ -59,6 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tsda_classify::ridge::BatchScratch;
 use tsda_core::{Label, Mts, TsdaError};
 
 /// Micro-batcher knobs.
@@ -66,7 +76,10 @@ use tsda_core::{Label, Mts, TsdaError};
 pub struct BatchConfig {
     /// Flush as soon as this many requests are pending.
     pub max_batch: usize,
-    /// Flush this long after the first pending request arrived.
+    /// Flush this long after the first pending request was enqueued.
+    /// The batch holds the requests enqueued before then (up to
+    /// `max_batch`), and the lane runs each one's item step as it takes
+    /// it, during the window.
     pub max_wait: Duration,
     /// Maximum jobs queued per lane before submits are shed with an
     /// `overloaded` reply.
@@ -309,31 +322,6 @@ impl<J> JobRing<J> {
         }
     }
 
-    /// Pop with a deadline; `None` on timeout or closed-and-drained.
-    fn pop_until(&self, deadline: Instant) -> Option<J> {
-        let mut st = self.lock();
-        loop {
-            if let Some(job) = st.jobs.pop_front() {
-                return Some(job);
-            }
-            if st.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timeout) = self
-                .nonempty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-            if timeout.timed_out() {
-                return st.jobs.pop_front();
-            }
-        }
-    }
-
     fn close(&self) {
         self.lock().closed = true;
         self.nonempty.notify_all();
@@ -343,6 +331,33 @@ impl<J> JobRing<J> {
     /// `len()` calls in the name-based call graph).
     fn queued(&self) -> usize {
         self.lock().jobs.len()
+    }
+}
+
+impl<P, R> JobRing<Job<P, R>> {
+    /// Pop the next job enqueued before `cutoff`, waiting for one until
+    /// then. `None` once the front job was enqueued at or after the
+    /// cutoff (it opens the next batch, however late the worker comes
+    /// to it), on timeout, or closed-and-drained.
+    fn pop_until(&self, cutoff: Instant) -> Option<Job<P, R>> {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.jobs.front() {
+                return if job.enqueued < cutoff { st.jobs.pop_front() } else { None };
+            }
+            if st.closed {
+                return None;
+            }
+            let now = Instant::now();
+            if now >= cutoff {
+                return None;
+            }
+            st = self
+                .nonempty
+                .wait_timeout(st, cutoff - now)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
     }
 }
 
@@ -383,6 +398,59 @@ impl<P, R> Lane<P, R> {
             ("shed".into(), Value::Num(c.shed.load(Ordering::Relaxed) as f64)),
             ("ticket_allocs".into(), Value::Num(c.ticket_allocs.load(Ordering::Relaxed) as f64)),
         ])
+    }
+}
+
+/// What a lane computes, in two steps. The worker runs [`Self::item`]
+/// on each job as it takes it off the ring, while the flush window is
+/// open, and [`Self::batch`] once the window closes, over the payloads
+/// of every job it took since the last batch step, in order. A closure
+/// `FnMut(&[P], &mut Vec<R>) -> Result<(), String>` is a lane with no
+/// item step.
+trait LaneWork<P, R> {
+    /// The item step of one job.
+    fn item(&mut self, _payload: &P) {}
+    /// The batch step: one result per payload into `out`, or one error
+    /// for the whole batch.
+    fn batch(&mut self, payloads: &[P], out: &mut Vec<R>) -> Result<(), String>;
+}
+
+impl<P, R, F: FnMut(&[P], &mut Vec<R>) -> Result<(), String>> LaneWork<P, R> for F {
+    fn batch(&mut self, payloads: &[P], out: &mut Vec<R>) -> Result<(), String> {
+        self(payloads, out)
+    }
+}
+
+/// A model's lane: the entry's item step on each series, into the
+/// lane's own feature rows (at most `max_batch` of them), and its batch
+/// step when the window closes.
+struct PredictWork {
+    registry: Arc<ModelRegistry>,
+    model: String,
+    rows: BatchScratch,
+    /// The batch's first item-step error, which answers the whole batch.
+    failed: Option<String>,
+}
+
+impl LaneWork<Mts, Label> for PredictWork {
+    fn item(&mut self, series: &Mts) {
+        if self.failed.is_none() {
+            if let Some(entry) = self.registry.get(&self.model) {
+                let step = entry.item_step(series, &mut self.rows);
+                self.failed = step.err().map(|e| format!("prediction failed: {e}"));
+            }
+        }
+    }
+
+    fn batch(&mut self, series: &[Mts], labels: &mut Vec<Label>) -> Result<(), String> {
+        let failed = self.failed.take();
+        let model = &self.model;
+        let entry =
+            self.registry.get(model).ok_or_else(|| format!("model {model:?} is not registered"))?;
+        // The batch step runs after a failed item step too: it spends
+        // the rows, so the next batch starts from none.
+        let done = entry.batch_step(series, &mut self.rows, labels);
+        failed.map_or(done.map_err(|e| format!("prediction failed: {e}")), Err)
     }
 }
 
@@ -436,14 +504,11 @@ impl Batcher {
         config: BatchConfig,
     ) -> Result<(), TsdaError> {
         for name in registry.names() {
-            let (registry, model) = (Arc::clone(registry), name.clone());
-            let predict = move |series: &[Mts], labels: &mut Vec<Label>| {
-                let entry = registry
-                    .get(&model)
-                    .ok_or_else(|| format!("model {model:?} is not registered"))?;
-                entry
-                    .predict_batch_into(series, labels)
-                    .map_err(|e| format!("prediction failed: {e}"))
+            let predict = PredictWork {
+                registry: Arc::clone(registry),
+                model: name.clone(),
+                rows: BatchScratch::default(),
+                failed: None,
             };
             let lane = self.spawn_lane(format!("batch-{name}"), "predict", stats, config, predict)?;
             self.models.insert(name, lane);
@@ -466,15 +531,14 @@ impl Batcher {
         Ok(())
     }
 
-    /// Spawn the worker thread of one lane; `run_batch` is the lane's
-    /// batch call.
+    /// Spawn the worker thread of one lane, which runs `work`.
     fn spawn_lane<P: Send + 'static, R: Send + 'static>(
         &mut self,
         thread: String,
         kind: &'static str,
         stats: &Arc<ServerStats>,
         config: BatchConfig,
-        run_batch: impl FnMut(&[P], &mut Vec<R>) -> Result<(), String> + Send + 'static,
+        work: impl LaneWork<P, R> + Send + 'static,
     ) -> Result<Lane<P, R>, TsdaError> {
         let queue_cap = config.queue_cap.max(1);
         let ring = Arc::new(JobRing::with_capacity(queue_cap));
@@ -483,7 +547,7 @@ impl Batcher {
         let faults = self.faults.clone();
         let worker = std::thread::Builder::new()
             .name(thread.clone())
-            .spawn(move || lane_loop(&worker_ring, config, &stats, faults.as_deref(), run_batch))
+            .spawn(move || lane_loop(&worker_ring, config, &stats, faults.as_deref(), work))
             .map_err(|e| TsdaError::Io(format!("spawn worker {thread}: {e}")))?;
         self.workers.push(worker);
         Ok(Lane {
@@ -609,35 +673,43 @@ fn take_ticket<T>(pool: &Arc<TicketPool<T>>, counters: &QueueCounters) -> Arc<Re
 }
 
 /// The one batch worker loop, shared by every lane. It blocks for a
-/// first job, coalesces until `max_batch` jobs or the `max_wait` window
-/// (opened when that first job was enqueued) closes, makes the lane's
-/// one batch call, and answers every job. A
-/// closed-and-drained ring is the shutdown signal, so a shutting-down
-/// server still answers everything already queued.
+/// first job, then takes jobs until `max_batch` of them or until the
+/// next one was enqueued after the window closed (`max_wait` after the
+/// first job was enqueued, or when this worker took it, if later),
+/// running each one's item step as it takes it. Then it runs the batch
+/// step and answers every job. A closed-and-drained ring is the shutdown
+/// signal, so a shutting-down server still answers everything already
+/// queued.
 fn lane_loop<P, R>(
     ring: &JobRing<Job<P, R>>,
     config: BatchConfig,
     stats: &ServerStats,
     faults: Option<&FaultPlan>,
-    mut run_batch: impl FnMut(&[P], &mut Vec<R>) -> Result<(), String>,
+    mut work: impl LaneWork<P, R>,
 ) {
+    timer_slack::tighten();
     let max_batch = config.max_batch.max(1);
     // Worker scratch, reused across batches: each job's payload MOVES
     // into `batch` (no per-job clone), its reply slot waits in
-    // `pending`, and the batch call writes into `results`. After the
+    // `pending`, and the batch step writes into `results`. After the
     // first full batch none of these grow.
     let mut batch: Vec<P> = Vec::with_capacity(max_batch);
     let mut pending: Vec<(Instant, ReplySlot<R>)> = Vec::with_capacity(max_batch);
     let mut results: Vec<R> = Vec::with_capacity(max_batch);
     while let Some(first) = ring.pop_blocking() {
-        // The window opened when the first job arrived, not when this
-        // worker woke up to take it.
-        let deadline = first.enqueued + config.max_wait;
+        // The window opened when the first job was enqueued, not when
+        // this worker took it; a worker that comes to it after the
+        // window closed still takes every job queued by then.
+        let cutoff = (first.enqueued + config.max_wait).max(Instant::now());
+        let mut items = Duration::ZERO;
         let mut next = Some(first);
         while let Some(job) = next {
+            let item_start = Instant::now();
+            work.item(&job.payload);
+            items += item_start.elapsed();
             batch.push(job.payload);
             pending.push((job.enqueued, job.reply));
-            next = if pending.len() < max_batch { ring.pop_until(deadline) } else { None };
+            next = if pending.len() < max_batch { ring.pop_until(cutoff) } else { None };
         }
 
         // Injected stall: the lane "hangs" before the batch runs,
@@ -647,8 +719,10 @@ fn lane_loop<P, R>(
         }
 
         let batch_start = Instant::now();
-        let outcome = run_batch(&batch, &mut results);
-        let batch_micros = batch_start.elapsed().as_micros() as u64;
+        let outcome = work.batch(&batch, &mut results);
+        // The lane's model time for the batch: its item steps and the
+        // batch step.
+        let batch_micros = (items + batch_start.elapsed()).as_micros() as u64;
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.batched_items.fetch_add(pending.len() as u64, Ordering::Relaxed);
         stats.batch_latency.record(batch_micros);
@@ -675,6 +749,36 @@ fn lane_loop<P, R>(
         batch.clear();
         results.clear();
     }
+}
+
+/// The lane thread's timer slack. On Linux a normal thread's timed wait
+/// may fire up to the default 50 µs slack late; a lane sets 1 µs, so
+/// its flush fires on its deadline. (0 would restore the default.)
+mod timer_slack {
+    #[cfg(target_os = "linux")]
+    pub(super) const PR_SET_TIMERSLACK: i32 = 29;
+    #[cfg(all(test, target_os = "linux"))]
+    pub(super) const PR_GET_TIMERSLACK: i32 = 30;
+
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        // prctl(2), variadic in C; its option arguments are unsigned long.
+        pub(super) fn prctl(option: i32, ...) -> i32;
+    }
+
+    /// Set this thread's timer slack to 1 µs.
+    #[cfg(target_os = "linux")]
+    pub(super) fn tighten() {
+        // SAFETY: `prctl(PR_SET_TIMERSLACK, n)` only sets a per-thread
+        // scheduling value, passed as the `unsigned long` the call
+        // expects; it reads and writes no memory of ours, and a failure
+        // (ignored) leaves the default slack.
+        let _ = unsafe { prctl(PR_SET_TIMERSLACK, 1000 as std::ffi::c_ulong) };
+    }
+
+    /// No timer slack to set off Linux.
+    #[cfg(not(target_os = "linux"))]
+    pub(super) fn tighten() {}
 }
 
 #[cfg(test)]
@@ -792,6 +896,30 @@ mod tests {
             batcher.submit_augment("nope", ds.series()[0].clone(), 1, 0).err(),
             Some(SubmitError::UnknownPipeline)
         );
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn a_failed_item_step_fails_its_own_batch_only() {
+        // Dispatch validates shapes before submitting; a series that
+        // skipped it fails its item step, and with it its batch.
+        let (batcher, _, ds, offline) = start_batcher(BatchConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(20),
+            ..BatchConfig::default()
+        });
+        let bad = batcher.submit("rocket", Mts::zeros(2, 20)).expect("queue open");
+        let good = batcher.submit("rocket", ds.series()[0].clone()).expect("queue open");
+        let (bad, good) = (bad.recv(), good.recv());
+        assert!(bad.result.as_ref().is_err_and(|e| e.starts_with("prediction failed")));
+        if good.batch_size == 2 {
+            assert_eq!(good.result, bad.result, "one error answers the whole batch");
+        } else {
+            assert_eq!(good.result, Ok(offline[0]));
+        }
+        // The next batch starts from no rows.
+        let again = batcher.submit("rocket", ds.series()[1].clone()).expect("queue open").recv();
+        assert_eq!(again.result, Ok(offline[1]));
         batcher.shutdown();
     }
 
@@ -958,6 +1086,149 @@ mod tests {
         worker.join().expect("lane worker exits");
         assert_eq!(reply.result, Ok(7));
         assert!(waited < max_wait / 2, "answered after {waited:?}, not at once");
+    }
+
+    type TestRing = JobRing<Job<usize, usize>>;
+
+    /// A lane of `usize` jobs running `work` on its own thread.
+    fn start_lane(
+        config: BatchConfig,
+        work: impl LaneWork<usize, usize> + Send + 'static,
+    ) -> (Arc<TestRing>, Arc<TicketPool<BatchReply<usize>>>, JoinHandle<()>) {
+        let ring = Arc::new(JobRing::with_capacity(config.queue_cap));
+        let worker = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || lane_loop(&ring, config, &ServerStats::new(), None, work))
+        };
+        (ring, TicketPool::warm(config.queue_cap), worker)
+    }
+
+    /// Enqueue `payload` now, as `Batcher::submit` does.
+    fn offer(
+        ring: &TestRing,
+        pool: &Arc<TicketPool<BatchReply<usize>>>,
+        payload: usize,
+    ) -> PendingReply<BatchReply<usize>> {
+        let ticket = pool.take().expect("warm ticket");
+        let reply = ReplySlot { ticket: Arc::clone(&ticket), sent: false };
+        assert!(ring.offer(Job { payload, enqueued: Instant::now(), reply }).is_ok());
+        PendingReply { ticket, pool: Arc::clone(pool) }
+    }
+
+    /// A lane whose item step sleeps and whose batch step echoes the
+    /// payloads.
+    struct SlowItems(Duration);
+
+    impl LaneWork<usize, usize> for SlowItems {
+        fn item(&mut self, _payload: &usize) {
+            std::thread::sleep(self.0);
+        }
+
+        fn batch(&mut self, payloads: &[usize], out: &mut Vec<usize>) -> Result<(), String> {
+            out.extend_from_slice(payloads);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn item_steps_run_while_the_window_is_open() {
+        // Two jobs enqueued together, with a 30 ms item step each, in a
+        // 200 ms window: both item steps run inside the window, so the
+        // replies come at about 200 ms, not 200 + 2 × 30.
+        let max_wait = Duration::from_millis(200);
+        let config = BatchConfig { max_batch: 8, max_wait, queue_cap: 4 };
+        let (ring, pool, worker) = start_lane(config, SlowItems(Duration::from_millis(30)));
+        let sent = Instant::now();
+        let (a, b) = (offer(&ring, &pool, 1), offer(&ring, &pool, 2));
+        let (a, b) = (a.recv(), b.recv());
+        let waited = sent.elapsed();
+        ring.close();
+        worker.join().expect("lane worker exits");
+        assert_eq!((a.result, b.result), (Ok(1), Ok(2)));
+        assert_eq!((a.batch_size, b.batch_size), (2, 2));
+        assert!(waited >= max_wait, "answered after {waited:?}, before the window closed");
+        assert!(
+            waited < max_wait + Duration::from_millis(45),
+            "answered after {waited:?}: the item steps ran after the window, not during it"
+        );
+    }
+
+    #[test]
+    fn a_batch_holds_the_jobs_enqueued_before_its_window_closed() {
+        // Item steps slower than the window, under steady arrivals: the
+        // first batch closes on the jobs enqueued before its deadline,
+        // not on every job queued by the time the lane catches up, which
+        // would grow it to `max_batch`.
+        let max_wait = Duration::from_millis(40);
+        let config = BatchConfig { max_batch: 12, max_wait, queue_cap: 16 };
+        let (ring, pool, worker) = start_lane(config, SlowItems(Duration::from_millis(50)));
+        // Let the worker block on the empty ring first.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut sent = Vec::new();
+        for i in 0..12 {
+            let before = Instant::now();
+            let pending = offer(&ring, &pool, i);
+            sent.push((before, Instant::now(), pending));
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let replies: Vec<_> = sent.into_iter().map(|(b, a, p)| (b, a, p.recv())).collect();
+        ring.close();
+        worker.join().expect("lane worker exits");
+        for (i, (_, _, reply)) in replies.iter().enumerate() {
+            assert_eq!(reply.result, Ok(i), "job {i}");
+        }
+        // Job 0 was enqueued between `opened` and `opened_by`.
+        let (opened, opened_by, ref first) = replies[0];
+        let size = first.batch_size;
+        assert!((1..12).contains(&size), "the first batch took {size} jobs");
+        for (i, (before, _, _)) in replies[..size].iter().enumerate() {
+            assert!(
+                *before < opened_by + max_wait,
+                "job {i}, enqueued after the window, joined it"
+            );
+        }
+        assert!(
+            replies[size].1 >= opened + max_wait,
+            "job {size}, enqueued inside the window, was left out of it"
+        );
+    }
+
+    #[test]
+    fn with_no_window_a_batch_takes_the_jobs_already_queued() {
+        // `max_wait` 0: the jobs queued when the worker takes the first
+        // one share its batch, item steps and all.
+        let config = BatchConfig { max_batch: 8, max_wait: Duration::ZERO, queue_cap: 4 };
+        let ring = Arc::new(JobRing::with_capacity(config.queue_cap));
+        let pool = TicketPool::warm(config.queue_cap);
+        let pending: Vec<_> = (0..3).map(|i| offer(&ring, &pool, i)).collect();
+        let worker = {
+            let ring = Arc::clone(&ring);
+            let work = SlowItems(Duration::from_millis(5));
+            std::thread::spawn(move || lane_loop(&ring, config, &ServerStats::new(), None, work))
+        };
+        let sizes: Vec<usize> = pending.into_iter().map(|p| p.recv().batch_size).collect();
+        ring.close();
+        worker.join().expect("lane worker exits");
+        assert_eq!(sizes, [3, 3, 3]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn lanes_run_with_a_1us_timer_slack() {
+        let config = BatchConfig { max_batch: 1, max_wait: Duration::from_millis(1), queue_cap: 1 };
+        let read_slack = |payloads: &[usize], out: &mut Vec<usize>| -> Result<(), String> {
+            // SAFETY: `prctl(PR_GET_TIMERSLACK)` returns this thread's
+            // timer slack and touches no memory of ours.
+            let ns = unsafe { timer_slack::prctl(timer_slack::PR_GET_TIMERSLACK) };
+            out.extend(payloads.iter().map(|_| ns as usize));
+            Ok(())
+        };
+        let (ring, pool, worker) = start_lane(config, read_slack);
+        let reply = offer(&ring, &pool, 0).recv();
+        ring.close();
+        worker.join().expect("lane worker exits");
+        let ns = reply.result.expect("the lane answers");
+        assert!(ns <= 1000, "the lane thread's timer slack is {ns} ns");
     }
 
     #[test]

@@ -118,7 +118,6 @@ pub(crate) fn serve_conn(
         faults,
         mode: None,
         buf: Vec::with_capacity(4096),
-        line: Vec::new(),
         reply_line: String::new(),
         reply_frame: Vec::new(),
     };
@@ -160,10 +159,9 @@ struct Conn<'a> {
     faults: Option<&'a FaultPlan>,
     /// `None` until the first request byte arrives.
     mode: Option<Proto>,
-    /// Bytes read but not yet answered.
+    /// Bytes read but not yet answered. Each pass answers the complete
+    /// requests in it from a cursor, then drops them in one compaction.
     buf: Vec<u8>,
-    /// One request line, drained out of `buf`.
-    line: Vec<u8>,
     /// One NDJSON reply line.
     reply_line: String,
     /// One v2 reply frame.
@@ -202,21 +200,25 @@ impl Conn<'_> {
         }
     }
 
-    /// Pop complete lines off `buf` and answer each in order. Returns
-    /// false when a write failed (peer gone or fault-injected drop).
+    /// Answer each complete line in `buf`, in order, then drop them
+    /// from it. Returns false when a write failed (peer gone or
+    /// fault-injected drop).
     fn answer_lines(&mut self, handler: &mut impl Handler) -> bool {
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            self.line.clear();
-            self.line.extend(self.buf.drain(..=pos));
-            self.line.pop(); // the '\n'
+        let mut start = 0;
+        let open = loop {
+            let Some(len) = self.buf[start..].iter().position(|&b| b == b'\n') else {
+                break true;
+            };
+            let line = &mut self.buf[start..start + len];
+            start += len + 1;
             if let Some(plan) = self.faults {
                 // Wire corruption happens between the peer's write and
                 // our parse; the parser must turn it into an error reply.
-                plan.corrupt_line(&mut self.line);
+                plan.corrupt_line(line);
             }
             // Borrowed in the common (valid UTF-8) case; invalid bytes
             // are already a parse-error path.
-            let text = String::from_utf8_lossy(&self.line);
+            let text = String::from_utf8_lossy(line);
             let text = text.trim();
             if text.is_empty() {
                 continue;
@@ -226,41 +228,48 @@ impl Conn<'_> {
             self.reply_line.push('\n');
             let reply = self.reply_line.as_bytes();
             if faults::write_response(&mut self.writer, reply, self.faults).is_err() {
-                return false;
+                break false;
             }
-        }
-        true
+        };
+        self.buf.drain(..start);
+        open
     }
 
-    /// Pop complete v2 frames off `buf` and answer each in order.
-    /// Returns false when the connection must close: a failed write, or
-    /// a corrupted *length prefix* — unlike body corruption (caught by
-    /// the checksum and answered with an error reply on an intact
-    /// stream), a bad prefix desynchronises framing beyond recovery.
+    /// Answer each complete v2 frame in `buf`, in order, then drop them
+    /// from it. Returns false when the connection must close: a failed
+    /// write, or a corrupted *length prefix* — unlike body corruption
+    /// (caught by the checksum and answered with an error reply on an
+    /// intact stream), a bad prefix desynchronises framing beyond
+    /// recovery.
     fn answer_frames(&mut self, handler: &mut impl Handler) -> bool {
-        loop {
-            let mut raw = match proto2::take_frame(&mut self.buf) {
-                Ok(Some(raw)) => raw,
-                Ok(None) => return true,
+        let mut start = 0;
+        let open = loop {
+            let end = match proto2::frame_end(&self.buf[start..]) {
+                Ok(Some(end)) => start + end,
+                Ok(None) => break true,
                 Err(message) => {
                     self.refuse(handler, message);
-                    return false;
+                    break false;
                 }
             };
+            let raw = &mut self.buf[start + 4..end];
+            start = end;
             if let Some(plan) = self.faults {
                 // Corrupt after the boundary is known: frame extraction
                 // used the (uncorrupted) length prefix, so the stream
                 // stays in sync and the checksum turns the mangled
                 // payload into an error reply instead of a different
                 // request.
-                plan.corrupt_line(&mut raw);
+                plan.corrupt_line(raw);
             }
             self.reply_frame.clear();
-            handler.answer_frame(&raw, &mut self.reply_frame);
+            handler.answer_frame(raw, &mut self.reply_frame);
             if faults::write_response(&mut self.writer, &self.reply_frame, self.faults).is_err() {
-                return false;
+                break false;
             }
-        }
+        };
+        self.buf.drain(..start);
+        open
     }
 
     /// Count and answer a request the loop refuses itself, in the

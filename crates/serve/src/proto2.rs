@@ -142,16 +142,15 @@ pub fn reframe(raw: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Pop one complete raw frame (`body + crc`, length prefix stripped and
-/// validated) off the front of `buf`.
+/// The length of the complete frame at the front of `buf`, length
+/// prefix included; its raw frame (`body + crc`, not yet CRC-checked:
+/// see [`check_frame`]) is `buf[4..len]`.
 ///
 /// * `Ok(None)` — the buffer does not yet hold a complete frame.
-/// * `Ok(Some(raw))` — one frame, not yet CRC-checked (see
-///   [`check_frame`]; wire corruption is injected between the two).
 /// * `Err(msg)` — the length prefix itself is invalid (too small or
 ///   over [`MAX_FRAME`]); the stream cannot be resynchronised and the
 ///   connection must close.
-pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, String> {
+pub fn frame_end(buf: &[u8]) -> Result<Option<usize>, String> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -163,11 +162,17 @@ pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, String> {
     if len < 5 {
         return Err(format!("frame length {len} below minimum of 5"));
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let raw: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
-    Ok(Some(raw))
+    Ok((buf.len() >= 4 + len).then_some(4 + len))
+}
+
+/// Pop one complete raw frame (`body + crc`, length prefix stripped and
+/// validated) off the front of `buf`, as [`frame_end`] finds it.
+pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, String> {
+    Ok(frame_end(buf)?.map(|end| {
+        let raw = buf[4..end].to_vec();
+        buf.drain(..end);
+        raw
+    }))
 }
 
 /// Verify a raw frame's trailing CRC and return the body slice.

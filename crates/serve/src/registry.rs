@@ -1,16 +1,21 @@
 //! Named-model registry: load many saved models at startup, validate
 //! request shapes, and run batched predictions.
 //!
-//! Every model kind predicts through [`SavedModel::predict_into`],
-//! which takes `&self` and reads only fitted state, so batch workers
-//! share the registry through a plain `Arc` with no lock, and a
-//! panicked batch leaves no poisoned model behind.
+//! Every model kind predicts in two steps through `&self`, reading only
+//! fitted state: an item step per series ([`ModelEntry::item_step`]),
+//! which a batch lane runs on each request as it takes it, while its
+//! flush window is open, and a batch step ([`ModelEntry::batch_step`])
+//! once the window closes. For ROCKET, MiniRocket and ridge the item
+//! step is the series' feature row and the batch step the ridge head;
+//! InceptionTime does all its work in the batch step. Batch workers
+//! share the registry through a plain `Arc` with no lock, and a panicked
+//! batch leaves no poisoned model behind.
 
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tsda_classify::persist::SavedModel;
-use tsda_classify::ridge::RIDGE_KIND;
+use tsda_classify::ridge::{BatchScratch, RIDGE_KIND};
 use tsda_core::parallel;
 use tsda_core::{Label, Mts, TsdaError};
 
@@ -100,15 +105,13 @@ impl ModelEntry {
         Ok(())
     }
 
-    /// Run one batched prediction into a caller-owned label buffer; a
+    /// Run one batched prediction into a caller-owned label buffer: each
+    /// series' item step, then the batch step, as a lane runs them; a
     /// warm ROCKET, MiniRocket or ridge batch allocates nothing at all.
-    /// All series must already satisfy [`Self::validate`]. The batch
-    /// shares one transform/forward pass on the calling thread
-    /// ([`parallel::serial`]): a serving-size batch takes less time
-    /// than the pool's thread spawns would. Each label is bit-identical
-    /// to what offline `Classifier::predict` returns for that series
-    /// alone. `out` is cleared first and holds `series.len()` labels on
-    /// success.
+    /// All series must already satisfy [`Self::validate`]. Each label is
+    /// bit-identical to what offline `Classifier::predict` returns for
+    /// that series alone. `out` is cleared first and holds
+    /// `series.len()` labels on success.
     pub fn predict_batch_into(
         &self,
         series: &[Mts],
@@ -120,6 +123,39 @@ impl ModelEntry {
         }
         match &self.model {
             Model::Saved(m) => parallel::serial(|| m.predict_into(series, out)),
+            Model::Stub(label) => {
+                out.resize(series.len(), *label);
+                Ok(())
+            }
+        }
+    }
+
+    /// The item step for one validated series, which a lane runs as it
+    /// takes the job, while the flush window is open: ROCKET, MiniRocket
+    /// and ridge write the series' feature row as the next row of
+    /// `rows`; InceptionTime and the stub do nothing. It runs on the
+    /// calling thread ([`parallel::serial`]).
+    pub fn item_step(&self, s: &Mts, rows: &mut BatchScratch) -> Result<(), TsdaError> {
+        match &self.model {
+            Model::Saved(m) => parallel::serial(|| m.item_step(s, rows)),
+            Model::Stub(_) => Ok(()),
+        }
+    }
+
+    /// The batch step, once the window closes: labels for `series`,
+    /// whose item steps ran into `rows` in order, into `out` (cleared
+    /// first). It runs on the calling thread ([`parallel::serial`]): a
+    /// serving-size batch takes less time than the pool's thread spawns
+    /// would.
+    pub fn batch_step(
+        &self,
+        series: &[Mts],
+        rows: &mut BatchScratch,
+        out: &mut Vec<Label>,
+    ) -> Result<(), TsdaError> {
+        out.clear();
+        match &self.model {
+            Model::Saved(m) => parallel::serial(|| m.batch_step(series, rows, out)),
             Model::Stub(label) => {
                 out.resize(series.len(), *label);
                 Ok(())
@@ -218,7 +254,8 @@ mod tests {
 
     /// Every served kind, saved and loaded as `tsda_serve` does it,
     /// validates request shapes and answers each series like offline,
-    /// whole test set and in batches of 1 and 2.
+    /// whole test set and in batches of 1 and 2, in one call and through
+    /// a lane's item and batch steps.
     #[test]
     fn entry_validates_shapes_and_matches_offline_predict() {
         let train = toy_dataset(1);
@@ -260,10 +297,19 @@ mod tests {
             let mut served = Vec::new();
             entry.predict_batch_into(test.series(), &mut served).unwrap();
             assert_eq!(served, offline, "{kind}, whole test set");
+            let mut rows = BatchScratch::default();
             for b in [1, 2] {
                 for (i, batch) in test.series().chunks(b).enumerate() {
+                    let want = &offline[i * b..i * b + batch.len()];
                     entry.predict_batch_into(batch, &mut served).unwrap();
-                    assert_eq!(served, offline[i * b..i * b + batch.len()], "{kind}, b{b}");
+                    assert_eq!(served, want, "{kind}, b{b}");
+                    // A lane's two steps: each series as it is taken,
+                    // then the batch.
+                    for s in batch {
+                        entry.item_step(s, &mut rows).unwrap();
+                    }
+                    entry.batch_step(batch, &mut rows, &mut served).unwrap();
+                    assert_eq!(served, want, "{kind}, b{b}, item and batch steps");
                 }
             }
         }

@@ -143,7 +143,8 @@ pub struct ServerStats {
     pub batched_items: AtomicU64,
     /// Per-request wall latency (enqueue → response ready).
     pub request_latency: LatencyHistogram,
-    /// Per-batch predict call latency.
+    /// Per-batch lane work: the item steps of its jobs plus its batch
+    /// step.
     pub batch_latency: LatencyHistogram,
 }
 
@@ -215,7 +216,8 @@ pub struct StatsSnapshot {
     pub request_p99_us: u64,
     /// Mean request latency, microseconds.
     pub request_mean_us: f64,
-    /// Mean batched-predict call latency, microseconds.
+    /// Mean lane work per batch (item steps + batch step),
+    /// microseconds.
     pub batch_mean_us: f64,
 }
 

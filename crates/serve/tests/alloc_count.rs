@@ -10,6 +10,9 @@
 //! each fitted, saved and loaded as the server does, predict warm
 //! batches of 1 and 2 without an allocator call. InceptionTime's layers
 //! still return fresh tensors, so its count is printed, not asserted.
+//! A fourth serves the same three models from a real `Batcher` lane:
+//! a warm round trip of 1 or 2 jobs (`submit` → item steps during the
+//! window → the ridge head → `recv`) allocates nothing either.
 //!
 //! Everything lives in one `#[test]` on purpose: the counter is
 //! process-global, and sibling tests in the same binary would run on
@@ -142,27 +145,52 @@ fn warm_batcher_answers_requests_without_allocating() {
 
     // Served ROCKET on a 3×30 two-class problem, and MiniRocket
     // (168 features), ridge and InceptionTime (`tsda_serve --fast`
-    // configs) on a RacketSports-shaped 6×30 one.
-    let train = two_class(3);
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
-    rocket.fit(&train, None, &mut seeded(5));
-    let offline = rocket.predict(&train);
-    let calls = warm_served_allocs(SavedModel::Rocket(rocket), &train, &offline);
+    // configs) on a RacketSports-shaped 6×30 one. The first three are
+    // measured twice: one `predict_batch_into` call, and a lane of a
+    // real `Batcher`.
+    let rocket_train = two_class(3);
+    let fit_rocket = || {
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
+        rocket.fit(&rocket_train, None, &mut seeded(5));
+        rocket
+    };
+    let offline = fit_rocket().predict(&rocket_train);
+    let calls = warm_served_allocs(SavedModel::Rocket(fit_rocket()), &rocket_train, &offline);
     assert_eq!(calls, [0, 0], "a warm served ROCKET predict must not allocate (b1, b2: {calls:?})");
+    let calls = warm_lane_allocs(SavedModel::Rocket(fit_rocket()), &rocket_train, &offline);
+    assert_eq!(
+        calls,
+        [0, 0],
+        "a warm ROCKET lane round trip must not allocate (b1, b2: {calls:?})"
+    );
 
     let train = two_class(6);
-    let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
-    minirocket.fit(&train, None, &mut seeded(5));
-    let offline = minirocket.predict(&train);
-    let calls = warm_served_allocs(SavedModel::MiniRocket(minirocket), &train, &offline);
+    let fit_minirocket = || {
+        let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
+        minirocket.fit(&train, None, &mut seeded(5));
+        minirocket
+    };
+    let offline = fit_minirocket().predict(&train);
+    let calls = warm_served_allocs(SavedModel::MiniRocket(fit_minirocket()), &train, &offline);
     assert_eq!(calls, [0, 0], "a warm served MiniRocket predict must not allocate (b1, b2: {calls:?})");
+    let calls = warm_lane_allocs(SavedModel::MiniRocket(fit_minirocket()), &train, &offline);
+    assert_eq!(
+        calls,
+        [0, 0],
+        "a warm MiniRocket lane round trip must not allocate (b1, b2: {calls:?})"
+    );
 
     let rows: Vec<Vec<f64>> = train.series().iter().map(|s| s.as_flat().to_vec()).collect();
-    let mut ridge = RidgeClassifier::default();
-    ridge.fit_features(&rows, train.labels(), train.n_classes());
-    let offline = ridge.try_predict_features(&rows).expect("fitted ridge");
-    let calls = warm_served_allocs(SavedModel::Ridge(ridge), &train, &offline);
+    let fit_ridge = || {
+        let mut ridge = RidgeClassifier::default();
+        ridge.fit_features(&rows, train.labels(), train.n_classes());
+        ridge
+    };
+    let offline = fit_ridge().try_predict_features(&rows).expect("fitted ridge");
+    let calls = warm_served_allocs(SavedModel::Ridge(fit_ridge()), &train, &offline);
     assert_eq!(calls, [0, 0], "a warm served ridge predict must not allocate (b1, b2: {calls:?})");
+    let calls = warm_lane_allocs(SavedModel::Ridge(fit_ridge()), &train, &offline);
+    assert_eq!(calls, [0, 0], "a warm ridge lane round trip must not allocate (b1, b2: {calls:?})");
 
     let mut inception = InceptionTime::new(InceptionTimeConfig {
         filters: 2,
@@ -197,14 +225,63 @@ fn two_class(dims: usize) -> Dataset {
     train
 }
 
+/// Save and load `model` as the server does, as a registry entry.
+fn served_entry(model: &mut SavedModel, train: &Dataset) -> ModelEntry {
+    let loaded = load_model_bytes(&model.save_bytes().expect("save")).expect("load");
+    let ridge_shape = matches!(loaded, SavedModel::Ridge(_)).then(|| train.series()[0].shape());
+    ModelEntry::from_saved(model.kind(), loaded, ridge_shape).expect("fitted model")
+}
+
+/// Serve `model`, saved and loaded as the server does, from a lane of a
+/// real `Batcher`: 8 warm-up round trips of 1 job and of 2 jobs
+/// (`submit` each, then `recv` each), then 8 more of each size, whose
+/// labels must equal `offline`. Returns the allocator calls of the 8
+/// measured b1 round trips and of the 8 b2 ones. The request series
+/// are cloned beforehand: they are the client's allocation.
+fn warm_lane_allocs(mut model: SavedModel, train: &Dataset, offline: &[Label]) -> [u64; 2] {
+    let kind = model.kind();
+    let mut registry = ModelRegistry::new();
+    registry.insert(served_entry(&mut model, train));
+    // One job waits out its 5 ms window; two fill `max_batch` at once.
+    let config = BatchConfig { max_batch: 2, max_wait: Duration::from_millis(5), queue_cap: 8 };
+    let batcher = Batcher::start(
+        Arc::new(registry),
+        Arc::new(PipelineRegistry::new()),
+        Arc::new(ServerStats::new()),
+        config,
+        None,
+    )
+    .expect("batch worker starts");
+    let rounds: Vec<(usize, Vec<Mts>)> = (0..2)
+        .flat_map(|_| 0..8)
+        .flat_map(|i| [(i, train.series()[i..=i].to_vec()), (i, train.series()[i..i + 2].to_vec())])
+        .collect();
+    let mut calls = [0; 2];
+    for (round, (i, series)) in rounds.into_iter().enumerate() {
+        let b = series.len();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let mut jobs = series.into_iter().map(|s| batcher.submit(kind, s).expect("queue open"));
+        let pending = [jobs.next(), jobs.next()];
+        let replies = pending.map(|p| p.map(|p| p.recv()));
+        let during = ALLOCS.load(Ordering::SeqCst) - before;
+        if round >= 16 {
+            calls[b - 1] += during;
+        }
+        for (j, reply) in replies.iter().flatten().enumerate() {
+            assert_eq!(reply.result, Ok(offline[i + j]), "{kind}, b{b}, series {}", i + j);
+            assert_eq!(reply.batch_size, b, "{kind}: the round trip's jobs share one batch");
+        }
+    }
+    batcher.shutdown();
+    calls
+}
+
 /// Save and load `model` as the server does, warm it on batches of 1
 /// and 2 of `train`'s series, then predict 8 more of each size, whose
 /// labels must equal `offline`: the allocator calls of the 8 predicts
 /// at b1 and of the 8 at b2.
 fn warm_served_allocs(mut model: SavedModel, train: &Dataset, offline: &[Label]) -> [u64; 2] {
-    let loaded = load_model_bytes(&model.save_bytes().expect("save")).expect("load");
-    let ridge_shape = matches!(loaded, SavedModel::Ridge(_)).then(|| train.series()[0].shape());
-    let entry = ModelEntry::from_saved(model.kind(), loaded, ridge_shape).expect("fitted model");
+    let entry = served_entry(&mut model, train);
     let batches: Vec<&[Mts]> = (0..8).flat_map(|i| [&train.series()[i..=i], &train.series()[i..i + 2]]).collect();
     let mut labels = Vec::with_capacity(2);
     for batch in &batches {

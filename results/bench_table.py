@@ -24,6 +24,11 @@ otherwise. Traced runs give, per workload and side, the median over
 runs of the per-layer metrics and of the latency decomposition. Runs of
 gr-offline, which BENCHMARK.json does not gate, give each run's value of
 a few metrics, in seed order.
+
+A record whose runs mark each binary's origin with "perfbench" and
+"served" keys ("parent"|"change") instead of "side" crossed the two
+builds' benchmark and server binaries; it gives one row per workload
+and combination, with the median of each end-to-end metric.
 """
 
 import json
@@ -32,6 +37,7 @@ import statistics
 import sys
 
 TRACED = [
+    "batcher.server_p50_us",
     "batcher.queue_wait_us",
     "batcher.batch_mean",
     "model.rocket.b2_us",
@@ -72,6 +78,10 @@ def main(path):
         bench = json.load(f)
     with open(path) as f:
         runs = [json.loads(line) for line in f if line.strip()]
+
+    if any("side" not in r for r in runs):
+        crossed(bench, runs)
+        return
 
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
           "| change / parent | change wins | within bound | spread, parent / change / bound "
@@ -155,6 +165,20 @@ def main(path):
         cells = [med([r["decomposition"][p] for r in group]) for p in parts]
         lane = group[0]["decomposition"]["lane_name"]
         print(f"| {workload} | {side} | {lane} | " + " | ".join(cells) + " |")
+
+
+def crossed(bench, runs):
+    """One median row per workload and (perfbench, served) combination."""
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    print("| workload | perfbench | served | runs | "
+          + " | ".join(f"`{m}`" for m in metrics) + " |")
+    print("|---|---|---|---|" + "---|" * len(metrics))
+    combos = sorted({(r["workload"], r["perfbench"], r["served"]) for r in runs})
+    for combo in combos:
+        group = [r for r in runs if (r["workload"], r["perfbench"], r["served"]) == combo]
+        cells = [f"{statistics.median(r['result']['metrics'][m]['value'] for r in group):.4g}"
+                 for m in metrics]
+        print(f"| {' | '.join(combo)} | {len(group)} | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":
