@@ -1,8 +1,7 @@
 //! `tsda_analyze` — run the workspace lints from the command line.
 //!
 //! ```text
-//! tsda_analyze [--root DIR] [--config FILE] [--format text|json|sarif]
-//!              [--baseline FILE] [--write-baseline FILE]
+//! tsda_analyze [--root DIR] [--config FILE] [--format text|json]
 //!              [--explain RULE] [--fix-stale] [--verbose]
 //! ```
 //!
@@ -12,28 +11,19 @@
 //!
 //! Exit codes (stable, for CI):
 //!
-//! * `0` — no unallowlisted findings (with `--baseline`: none beyond
-//!   the baseline; with `--write-baseline`: baseline written).
-//! * `1` — at least one gating finding (report on stdout).
+//! * `0` — no unallowlisted findings.
+//! * `1` — at least one unallowlisted finding (report on stdout).
 //! * `2` — usage, IO, or config error (message on stderr).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tsda_analyze::config::Config;
-use tsda_analyze::{baseline, docs, sarif};
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use tsda_analyze::docs;
 
 struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
-    format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
+    json: bool,
     fix_stale: bool,
     verbose: bool,
 }
@@ -42,9 +32,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: find_workspace_root(),
         config: None,
-        format: Format::Text,
-        baseline: None,
-        write_baseline: None,
+        json: false,
         fix_stale: false,
         verbose: false,
     };
@@ -55,18 +43,11 @@ fn parse_args() -> Result<Args, String> {
             "--root" => args.root = PathBuf::from(value("--root")?),
             "--config" => args.config = Some(PathBuf::from(value("--config")?)),
             "--format" => {
-                args.format = match value("--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => {
-                        return Err(format!("--format must be text, json, or sarif, got {other:?}"))
-                    }
+                args.json = match value("--format")?.as_str() {
+                    "text" => false,
+                    "json" => true,
+                    other => return Err(format!("--format must be text or json, got {other:?}")),
                 };
-            }
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(value("--write-baseline")?));
             }
             "--explain" => {
                 let rule = value("--explain")?;
@@ -85,9 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--verbose" | "-v" => args.verbose = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: tsda_analyze [--root DIR] [--config FILE] \
-                     [--format text|json|sarif]\n\
-                     \x20                   [--baseline FILE] [--write-baseline FILE] \
+                    "usage: tsda_analyze [--root DIR] [--config FILE] [--format text|json] \
                      [--explain RULE] [--fix-stale] [--verbose]\n\
                      exit codes: 0 clean, 1 findings, 2 usage/config error\n\
                      rules: {}",
@@ -97,9 +76,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
-    }
-    if args.baseline.is_some() && args.write_baseline.is_some() {
-        return Err("--baseline and --write-baseline are mutually exclusive".to_string());
     }
     Ok(args)
 }
@@ -142,49 +118,15 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    if let Some(path) = &args.write_baseline {
-        let body = baseline::write(&report.findings);
-        std::fs::write(path, body)
-            .map_err(|e| format!("write baseline {}: {e}", path.display()))?;
-        println!(
-            "wrote baseline with {} finding(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-
-    let mut suppressed = 0usize;
-    if let Some(path) = &args.baseline {
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| format!("read baseline {}: {e}", path.display()))?;
-        let entries = baseline::parse(&body).map_err(|e| format!("{}: {e}", path.display()))?;
-        let diff = baseline::compare(&report.findings, &entries);
-        suppressed = diff.suppressed;
-        for e in &diff.stale {
-            eprintln!(
-                "warning: stale baseline entry: rule {} path {:?} snippet {:?}",
-                e.rule, e.path, e.snippet
-            );
-        }
-        // Only findings beyond the baseline gate the run.
-        report.findings = diff.new_findings;
-    }
-
-    match args.format {
-        Format::Text => {
-            print!("{}", report.to_text(args.verbose));
-            if args.baseline.is_some() {
-                println!("{suppressed} finding(s) suppressed by baseline");
-            }
-            if args.verbose {
-                for (rule, ms) in &report.timings {
-                    println!("timing: {rule} {ms:.3} ms");
-                }
+    if args.json {
+        println!("{}", report.to_json());
+    } else {
+        print!("{}", report.to_text(args.verbose));
+        if args.verbose {
+            for (rule, ms) in &report.timings {
+                println!("timing: {rule} {ms:.3} ms");
             }
         }
-        Format::Json => println!("{}", report.to_json()),
-        Format::Sarif => println!("{}", sarif::to_sarif(&report)),
     }
     Ok(report.is_clean())
 }

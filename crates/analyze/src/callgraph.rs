@@ -298,20 +298,10 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use crate::workspace::FileKind;
 
     fn file(crate_name: &str, src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: crate_name.into(),
-            rel_path: format!("crates/{crate_name}/src/lib.rs"),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
+        SourceFile::new(crate_name, format!("crates/{crate_name}/src/lib.rs"), FileKind::Lib, src)
     }
 
     fn id(g: &CallGraph, qual: &str) -> FnId {

@@ -16,8 +16,8 @@
 //! skip = ["crates/analyze/tests/fixtures"]   # subtrees never scanned
 //!
 //! [rules.D1]
-//! time = ["core", ...]       # crates where wall-clock reads are banned
-//! hash = ["core", ...]       # crates where HashMap/HashSet are banned
+//! crates = ["core", ...]     # crates where wall-clock reads and
+//!                            # HashMap/HashSet are banned
 //!
 //! [rules.P1]
 //! crates = ["core", ...]     # crates whose library code must not panic
@@ -32,19 +32,17 @@
 //! [rules.R2]
 //! crates = ["core", ...]     # crates checked for discarded Results
 //!
+//! [rules.R3]
+//! scratch = ["serve", ...]   # scratch-disciplined crates: their
+//!                            # hot-reachable fns may only allocate
+//!                            # through Scratch receivers
+//!
 //! [rules.R4]
 //! crates = ["core", ...]     # crates checked for unpinned reductions
 //!
-//! [rules.A1]
-//! crates = ["serve", ...]    # scratch-disciplined crates: hot-reachable
-//!                            # fns may only allocate through Scratch
-//!                            # receivers
-//!
 //! [rules.L1]
-//! crates = ["serve", ...]    # crates whose guards feed the lock-order graph
-//!
-//! [rules.L2]
-//! crates = ["serve", ...]    # crates checked for guards held across blocking
+//! crates = ["serve", ...]    # crates whose guards feed the lock-order
+//!                            # graph (L2 shares this scope)
 //!
 //! [rules.T1]
 //! paths = ["crates/serve/src/proto2.rs", ...]  # wire-decode files whose
@@ -62,7 +60,7 @@ use std::collections::BTreeMap;
 /// One allowlist entry from `[[allow]]`.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
-    /// Rule id the entry applies to (`D1`, `P1`, `U1`, `F1`).
+    /// Rule id the entry applies to (`D1`, `P1`, ...).
     pub rule: String,
     /// Path prefix (workspace-relative, `/`-separated) the entry covers.
     pub path: String,
@@ -90,10 +88,9 @@ pub struct Config {
     pub scan: Vec<String>,
     /// Subtree prefixes excluded from scanning (fixtures).
     pub skip: Vec<String>,
-    /// Crates (dir names under `crates/`) where D1 bans wall-clock.
-    pub d1_time: Vec<String>,
-    /// Crates where D1 bans `HashMap`/`HashSet`.
-    pub d1_hash: Vec<String>,
+    /// Crates (dir names under `crates/`) whose library code D1 bars
+    /// from reading the wall clock and from `HashMap`/`HashSet`.
+    pub d1_crates: Vec<String>,
     /// Crates whose non-test library code P1 requires panic-free.
     pub p1_crates: Vec<String>,
     /// Crates where F1 bans raw threading.
@@ -108,17 +105,16 @@ pub struct Config {
     /// Crates whose library code R4 checks for unpinned float
     /// reductions (the result-producing crates).
     pub r4_crates: Vec<String>,
-    /// Scratch-disciplined crates: A1 bans `Vec::new`/`with_capacity`/
-    /// `.to_vec()`/`.clone()`/`format!`/`Box::new` in hot-reachable fns
-    /// of these crates unless the site goes through a `Scratch`-typed
-    /// receiver.
-    pub a1_crates: Vec<String>,
+    /// Scratch-disciplined crates: in their hot-reachable fns R3 also
+    /// bans `.clone()`, and `Vec::new`/`with_capacity`/`.to_vec()`/
+    /// `.clone()`/`format!`/`Box::new` must go through a `Scratch`
+    /// binding even when they escape.
+    pub r3_scratch: Vec<String>,
     /// Crates whose lock acquisitions feed the L1 lock-order graph
-    /// (the concurrent crates — summaries still cover the whole graph).
-    pub l1_crates: Vec<String>,
-    /// Crates whose library code L2 checks for guards held across
+    /// (the concurrent crates — summaries still cover the whole graph)
+    /// and whose library code L2 checks for guards held across
     /// blocking calls.
-    pub l2_crates: Vec<String>,
+    pub l1_crates: Vec<String>,
     /// Wire-decode files (exact workspace-relative paths) whose reader
     /// outputs T1 treats as tainted lengths; C1 shares this scope.
     pub t1_paths: Vec<String>,
@@ -212,17 +208,15 @@ impl Config {
             match (target.as_str(), value) {
                 ("paths.scan", TomlValue::Array(v)) => cfg.scan = v,
                 ("paths.skip", TomlValue::Array(v)) => cfg.skip = v,
-                ("rules.D1.time", TomlValue::Array(v)) => cfg.d1_time = v,
-                ("rules.D1.hash", TomlValue::Array(v)) => cfg.d1_hash = v,
+                ("rules.D1.crates", TomlValue::Array(v)) => cfg.d1_crates = v,
                 ("rules.P1.crates", TomlValue::Array(v)) => cfg.p1_crates = v,
                 ("rules.F1.crates", TomlValue::Array(v)) => cfg.f1_crates = v,
                 ("rules.F1.blessed", TomlValue::Array(v)) => cfg.f1_blessed = v,
                 ("rules.R1.roots", TomlValue::Array(v)) => cfg.r1_roots = v,
                 ("rules.R2.crates", TomlValue::Array(v)) => cfg.r2_crates = v,
+                ("rules.R3.scratch", TomlValue::Array(v)) => cfg.r3_scratch = v,
                 ("rules.R4.crates", TomlValue::Array(v)) => cfg.r4_crates = v,
-                ("rules.A1.crates", TomlValue::Array(v)) => cfg.a1_crates = v,
                 ("rules.L1.crates", TomlValue::Array(v)) => cfg.l1_crates = v,
-                ("rules.L2.crates", TomlValue::Array(v)) => cfg.l2_crates = v,
                 ("rules.T1.paths", TomlValue::Array(v)) => cfg.t1_paths = v,
                 (other, _) => {
                     return Err(format!("line {line_no}: unknown or mistyped key {other:?}"));
@@ -417,8 +411,7 @@ mod tests {
             skip = ["crates/analyze/tests/fixtures"]
 
             [rules.D1]
-            time = ["core", "linalg"]
-            hash = ["core"]
+            crates = ["core", "linalg"]
 
             [rules.P1]
             crates = ["core"]
@@ -427,10 +420,10 @@ mod tests {
             crates = ["core"]
             blessed = ["crates/core/src/parallel.rs"]
 
-            [rules.L1]
-            crates = ["serve"]
+            [rules.R3]
+            scratch = ["serve"]
 
-            [rules.L2]
+            [rules.L1]
             crates = ["serve"]
 
             [rules.T1]
@@ -450,9 +443,9 @@ mod tests {
         )
         .expect("config parses");
         assert_eq!(cfg.scan, vec!["crates"]);
-        assert_eq!(cfg.d1_time, vec!["core", "linalg"]);
+        assert_eq!(cfg.d1_crates, vec!["core", "linalg"]);
+        assert_eq!(cfg.r3_scratch, vec!["serve"]);
         assert_eq!(cfg.l1_crates, vec!["serve"]);
-        assert_eq!(cfg.l2_crates, vec!["serve"]);
         assert_eq!(cfg.t1_paths, vec!["crates/serve/src/proto2.rs"]);
         assert_eq!(cfg.allow.len(), 2);
         assert!(cfg.allow[0].matches("P1", "crates/core/src/parallel.rs", "x every slot y"));
@@ -477,6 +470,10 @@ mod tests {
     #[test]
     fn unknown_keys_are_hard_errors() {
         assert!(Config::parse("[rules.P1]\ncreates = [\"core\"]\n").is_err());
+        // The keys the merged scopes replaced are gone, not aliases.
+        assert!(Config::parse("[rules.D1]\ntime = [\"core\"]\n").is_err());
+        assert!(Config::parse("[rules.L2]\ncrates = [\"serve\"]\n").is_err());
+        assert!(Config::parse("[rules.A1]\ncrates = [\"serve\"]\n").is_err());
         assert!(Config::parse("[[deny]]\nrule = \"P1\"\n").is_err());
         assert!(Config::parse("nonsense\n").is_err());
     }

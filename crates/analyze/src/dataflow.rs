@@ -12,7 +12,7 @@
 //! | rule | question | scope |
 //! |------|----------|-------|
 //! | L1 | can two locks be acquired in opposite orders on any pair of call chains? | holders in `[rules.L1].crates`, summaries over the whole graph |
-//! | L2 | is a live `MutexGuard`/`RwLock` guard spanning a call that (transitively) blocks? | `[rules.L2].crates`, lib, non-test |
+//! | L2 | is a live `MutexGuard`/`RwLock` guard spanning a call that (transitively) blocks? | `[rules.L1].crates`, lib, non-test |
 //! | T1 | does a wire-derived length reach `with_capacity`/`vec!`/`resize`/indexing before a named bound check? | files in `[rules.T1].paths`, non-test |
 //! | C1 | is a wire-derived integer truncated with `as` instead of `try_into`/a bound? | files in `[rules.T1].paths`, non-test |
 //!
@@ -44,9 +44,9 @@
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::interproc::{chain_text, file_of, push_at};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{close_delim, match_delim, Tok, TokKind};
 use crate::parser::FnDef;
-use crate::rules::Finding;
+use crate::rules::{push, Finding};
 use crate::workspace::{FileKind, SourceFile};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
@@ -155,24 +155,6 @@ fn acquisitions(toks: &[Tok], body: Range<usize>) -> Vec<Acquire> {
     out
 }
 
-/// Index of the token closing the group opened at `open`, or `end`.
-fn match_close(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < end {
-        if toks[i].is_punct(o) {
-            depth += 1;
-        } else if toks[i].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        }
-        i += 1;
-    }
-    end
-}
-
 /// First `;` at brace/paren/bracket depth 0 in `from..end`, or `end`.
 #[allow(clippy::needless_range_loop)] // index is the scan result
 fn statement_end(toks: &[Tok], from: usize, end: usize) -> usize {
@@ -238,7 +220,7 @@ fn is_guard_tail(toks: &[Tok], mut i: usize, end: usize) -> bool {
                 .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect") || t.is_ident("map_err"))
             && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
         {
-            i = match_close(toks, i + 2, end, '(', ')') + 1;
+            i = match_delim(toks, i + 2, end, '(', ')');
             continue;
         }
         return false;
@@ -381,7 +363,7 @@ fn guard_regions(toks: &[Tok], body: Range<usize>, acquires: &[Acquire]) -> Vec<
                     }
                 }
                 if let Some(open) = open {
-                    let close = match_close(toks, open, body.end, '{', '}');
+                    let close = close_delim(toks, open, body.end, '{', '}');
                     let names = ok_bound_names(toks, i + 2..eq);
                     let inits = acq_in(&(eq + 1..open));
                     for (name, acq) in names.iter().zip(inits.iter()) {
@@ -414,7 +396,7 @@ fn guard_regions(toks: &[Tok], body: Range<usize>, acquires: &[Acquire]) -> Vec<
                 }
             }
             if let Some(open) = open {
-                let close = match_close(toks, open, body.end, '{', '}');
+                let close = close_delim(toks, open, body.end, '{', '}');
                 let inits = acq_in(&(i + 1..open));
                 if let Some(acq) = inits.first() {
                     let mut k = open + 1;
@@ -476,7 +458,7 @@ fn guard_regions(toks: &[Tok], body: Range<usize>, acquires: &[Acquire]) -> Vec<
 #[allow(clippy::needless_range_loop)] // index is the scan result
 fn arm_body_end(toks: &[Tok], start: usize, close: usize) -> usize {
     if toks.get(start).is_some_and(|t| t.is_punct('{')) {
-        return match_close(toks, start, close, '{', '}');
+        return close_delim(toks, start, close, '{', '}');
     }
     let mut depth = 0i32;
     for i in start..close {
@@ -780,7 +762,7 @@ fn check_l2(
     cfg: &Config,
     findings: &mut Vec<Finding>,
 ) {
-    if cfg.l2_crates.is_empty() {
+    if cfg.l1_crates.is_empty() {
         return;
     }
     // A call blocks directly when its name is in the set (read/write
@@ -826,7 +808,7 @@ fn check_l2(
     }
 
     for (id, f) in graph.fns.iter().enumerate() {
-        if f.in_test || !cfg.l2_crates.iter().any(|c| c == &f.crate_name) {
+        if f.in_test || !cfg.l1_crates.iter().any(|c| c == &f.crate_name) {
             continue;
         }
         let Some(file) = file_of(files, f) else { continue };
@@ -905,7 +887,7 @@ fn call_args_contain(toks: &[Tok], tok: usize, name: &str) -> bool {
     if !toks.get(tok + 1).is_some_and(|t| t.is_punct('(')) {
         return false;
     }
-    let close = match_close(toks, tok + 1, toks.len(), '(', ')');
+    let close = close_delim(toks, tok + 1, toks.len(), '(', ')');
     toks[tok + 2..close].iter().any(|t| t.is_ident(name))
 }
 
@@ -1110,11 +1092,11 @@ fn report_length_sinks(
         if (t.is_ident("with_capacity") || t.is_ident("resize") || t.is_ident("reserve"))
             && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
         {
-            let close = match_close(toks, i + 1, seg.end, '(', ')');
+            let close = close_delim(toks, i + 1, seg.end, '(', ')');
             let args = i + 2..close;
             if span_is_tainted(toks, args.clone(), tainted) {
                 let what = taint_label(toks, args, tainted);
-                push_taint(findings, file, t.line, format!(
+                push(findings, file, "T1", t.line, format!(
                     "untrusted length `{what}` reaches `{}` before any named bound check — \
                      compare against a MAX_* const or route through `checked_len` first",
                     t.text
@@ -1128,12 +1110,12 @@ fn report_length_sinks(
             && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
             && toks.get(i + 2).is_some_and(|t| t.is_punct('['))
         {
-            let close = match_close(toks, i + 2, seg.end, '[', ']');
+            let close = close_delim(toks, i + 2, seg.end, '[', ']');
             if let Some(semi) = (i + 3..close).find(|&k| toks[k].is_punct(';')) {
                 let len = semi + 1..close;
                 if span_is_tainted(toks, len.clone(), tainted) {
                     let what = taint_label(toks, len, tainted);
-                    push_taint(findings, file, t.line, format!(
+                    push(findings, file, "T1", t.line, format!(
                         "untrusted length `{what}` sizes a `vec![..]` before any named bound \
                          check — compare against a MAX_* const first"
                     ));
@@ -1147,11 +1129,11 @@ fn report_length_sinks(
             && i > seg.start
             && (toks[i - 1].kind == TokKind::Ident || toks[i - 1].is_punct(')') || toks[i - 1].is_punct(']'))
         {
-            let close = match_close(toks, i, seg.end, '[', ']');
+            let close = close_delim(toks, i, seg.end, '[', ']');
             let idx = i + 1..close;
             if span_is_tainted(toks, idx.clone(), tainted) {
                 let what = taint_label(toks, idx, tainted);
-                push_taint(findings, file, t.line, format!(
+                push(findings, file, "T1", t.line, format!(
                     "untrusted value `{what}` indexes a slice before any named bound check — \
                      a short frame panics here; bound it or use `get(..)`"
                 ));
@@ -1206,7 +1188,7 @@ fn report_cast_sinks(
         let operand = j..i;
         if span_is_tainted(toks, operand.clone(), tainted) {
             let what = taint_label(toks, operand, tainted);
-            push_taint(findings, file, toks[i].line, format!(
+            push(findings, file, "C1", toks[i].line, format!(
                 "lossy `as` cast on wire-derived `{what}` — bound-check it first or use \
                  `try_into` so truncation is an error, not a wrap"
             ));
@@ -1214,34 +1196,13 @@ fn report_cast_sinks(
     }
 }
 
-fn push_taint(findings: &mut Vec<Finding>, file: &SourceFile, line: u32, message: String) {
-    let rule = if message.starts_with("lossy") { "C1" } else { "T1" };
-    findings.push(Finding {
-        rule,
-        path: file.rel_path.clone(),
-        line,
-        message,
-        snippet: file.line_text(line).to_string(),
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::lexer::lex;
 
     fn lib_file(crate_name: &str, src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: crate_name.into(),
-            rel_path: format!("crates/{crate_name}/src/lib.rs"),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
+        SourceFile::new(crate_name, format!("crates/{crate_name}/src/lib.rs"), FileKind::Lib, src)
     }
 
     fn cfg_with(f: impl FnOnce(&mut Config)) -> Config {
@@ -1313,7 +1274,7 @@ mod tests {
 
     #[test]
     fn l2_flags_blocking_under_guard_directly_and_transitively() {
-        let cfg = cfg_with(|c| c.l2_crates = vec!["x".into()]);
+        let cfg = cfg_with(|c| c.l1_crates = vec!["x".into()]);
         let findings = run(
             vec![lib_file(
                 "x",
@@ -1329,7 +1290,7 @@ mod tests {
 
     #[test]
     fn l2_stays_quiet_after_drop_and_for_condvar_wait() {
-        let cfg = cfg_with(|c| c.l2_crates = vec!["x".into()]);
+        let cfg = cfg_with(|c| c.l1_crates = vec!["x".into()]);
         let findings = run(
             vec![lib_file(
                 "x",

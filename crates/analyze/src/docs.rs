@@ -1,15 +1,15 @@
 //! The one rule-documentation table.
 //!
-//! `tsda_analyze --explain <RULE>`, the SARIF `tool.driver.rules`
-//! metadata, and the README's static-analysis section all render from
-//! [`RULE_DOCS`] — one source, so the docs cannot drift apart. A test
-//! in `tests/docs_sync.rs` pins the README table to this module.
+//! `tsda_analyze --explain <RULE>` and the README's static-analysis
+//! section both render from [`RULE_DOCS`] — one source, so the docs
+//! cannot drift apart. `tests/docs_sync.rs` pins the README table to
+//! this module and checks that every rule a report emits is in it.
 
 /// Documentation for one rule.
 pub struct RuleDoc {
     /// Rule id (`D1`, ..., `R4`).
     pub id: &'static str,
-    /// One-line summary (README table cell / SARIF shortDescription).
+    /// One-line summary (README table cell / `--explain` headline).
     pub summary: &'static str,
     /// Why the rule exists, in terms of the experimental protocol.
     pub rationale: &'static str,
@@ -57,21 +57,15 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "R3",
-        summary: "hot-path allocation (v2): functions tagged #[doc(alias = \"tsda::hot\")] and everything they call may not allocate in steady state — a site is cleared only when escape analysis proves it flows into a caller-provided &mut/Scratch param, the return value, or a one-time OnceLock init",
-        rationale: "per-element allocation in conv/GEMM kernels, the batcher submit path, or the wire codec turns O(1) inner loops into allocator traffic and latency jitter the serving benchmarks then mismeasure; v2's clearing means the remaining findings are real churn, so the R3 allowlist can stay empty",
-        allow_guidance: "do not allowlist — thread the allocation into a caller-provided scratch arena, or restructure it into a constructor/OnceLock path the escape analysis can prove",
+        summary: "hot-path allocation: functions tagged #[doc(alias = \"tsda::hot\")] and everything they call may not allocate in steady state — a site is cleared only when escape analysis proves it flows into a caller-provided &mut/Scratch param, the return value, or a one-time OnceLock init; in the [rules.R3].scratch crates .clone() also counts, and Vec::new/with_capacity, .to_vec(), .clone(), format! and Box::new must go through a Scratch-typed receiver (arena methods themselves are exempt)",
+        rationale: "per-element allocation in conv/GEMM kernels, the batcher submit path, or the wire codec turns O(1) inner loops into allocator traffic and latency jitter the serving benchmarks then mismeasure; the clearing means the remaining findings are real churn, and the scratch discipline holds serving crates to zero allocator calls per steady-state request, where escaping into a return value is not enough",
+        allow_guidance: "do not allowlist — thread the allocation into a caller-provided scratch arena, restructure it into a constructor/OnceLock path the escape analysis can prove, or move the work off the hot path",
     },
     RuleDoc {
         id: "R4",
         summary: "float-accumulation order: float reductions in result-producing code must route through tsda_core::math::sum_stable",
         rationale: "`.sum()` / `+=` loops pin accumulation order only until the next refactor reorders them; sum_stable fixes one compensated left-to-right order workspace-wide, so accuracy tables cannot drift a ulp at a time",
         allow_guidance: "explain what already pins the order and magnitude (e.g. a kernel whose loop structure is the documented contract, covered by goldens)",
-    },
-    RuleDoc {
-        id: "A1",
-        summary: "scratch discipline: hot-reachable fns in [rules.A1].crates may not call Vec::new/with_capacity, .to_vec(), .clone(), format!, or Box::new unless the site goes through a Scratch-typed receiver (arena methods themselves are exempt)",
-        rationale: "R3 clears allocations that escape into return values, which is right for library constructors but too lenient for serving crates — A1 is the stricter zero-allocation contract on the request path: every buffer comes from a per-worker Scratch arena, so steady-state requests hit the allocator zero times",
-        allow_guidance: "do not allowlist — route the buffer through the worker's Scratch arena, or move the work off the hot path so the fn is no longer hot-reachable",
     },
     RuleDoc {
         id: "L1",
@@ -133,7 +127,7 @@ mod tests {
         let ids: Vec<&str> = RULE_DOCS.iter().map(|d| d.id).collect();
         assert_eq!(
             ids,
-            vec!["D1", "P1", "U1", "F1", "R1", "R2", "R3", "R4", "A1", "L1", "L2", "T1", "C1"]
+            vec!["D1", "P1", "U1", "F1", "R1", "R2", "R3", "R4", "L1", "L2", "T1", "C1"]
         );
     }
 

@@ -1,6 +1,5 @@
 //! The interprocedural rules: R1 (panic reachability), R2 (fallibility
-//! hygiene), R3 (hot-path allocation), R4 (float-accumulation order),
-//! A1 (scratch discipline).
+//! hygiene), R3 (hot-path allocation), R4 (float-accumulation order).
 //!
 //! Where D1/P1/U1/F1 judge one line at a time, these rules run over the
 //! [call graph](crate::callgraph): what matters is not whether a
@@ -11,11 +10,10 @@
 //! |------|----------|-------|
 //! | R1 | can a configured root (`[rules.R1].roots`) transitively reach a panic site? | whole graph, test fns excluded |
 //! | R2 | is a workspace `Result` discarded (`let _ =` / bare statement)? | `[rules.R2].crates`, lib, non-test |
-//! | R3 | can a `#[doc(alias = "tsda::hot")]` fn transitively reach a *steady-state* allocation? | whole graph, test fns excluded |
+//! | R3 | can a `#[doc(alias = "tsda::hot")]` fn transitively reach a *steady-state* allocation? | whole graph, test fns excluded; stricter in `[rules.R3].scratch` |
 //! | R4 | is a float reduction not routed through `tsda_core::math::sum_stable`? | `[rules.R4].crates`, lib, non-test |
-//! | A1 | does a hot-reachable fn in a scratch-disciplined crate allocate outside a `Scratch` receiver? | `[rules.A1].crates`, non-test |
 //!
-//! R1/R3/A1 findings point at the offending *site* and carry the full
+//! R1/R3 findings point at the offending *site* and carry the full
 //! call chain from the root in the message, so the fix target and the
 //! reason it matters are both in one line of CI output. Resolution is
 //! conservative (see [`crate::callgraph`]): a finding may name a chain
@@ -43,12 +41,24 @@
 //! empty seeds, so an allocation inside a worker closure never clears
 //! through the *enclosing* fn's return, and flat `;`-segments
 //! over-approximate control flow in the conservative direction.
+//!
+//! ## The scratch discipline
+//!
+//! Escaping into a return value is right for library constructors but
+//! too lenient for serving code, where every buffer should come from a
+//! per-worker `Scratch` arena. In the hot-reachable fns of the crates
+//! listed in `[rules.R3].scratch` (methods of `*Scratch` owners
+//! excepted: that is where capacity lives), `.clone()` also counts as
+//! an allocation, and the incidental kinds (`.to_vec()`, `.clone()`,
+//! `Vec::new`, `Vec::with_capacity`, `Box::new`, `format!`) are
+//! findings unless they go through a scratch binding — escaping does
+//! not clear them.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::config::Config;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{close_delim, segments, skip_angle, Tok, TokKind};
 use crate::parser::FnDef;
-use crate::rules::Finding;
+use crate::rules::{push, Finding};
 use crate::workspace::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
@@ -72,35 +82,16 @@ const ALLOC_CTORS: &[(&str, &str)] = &[
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
-/// Methods A1 bans outright in scratch-disciplined crates. Narrower
-/// than R3's list on purpose: `vec![0.0; n]` staging through
-/// `Tensor::zeros`-style constructors is R3's business; A1 polices the
-/// *incidental* per-request allocations that creep into serving code.
-const A1_METHODS: &[&str] = &["to_vec", "clone"];
+/// The *incidental* per-request allocations the scratch discipline
+/// bans even when they escape (as [`allocation_sites`] describes them).
+/// Narrower than the full list on purpose: `vec![0.0; n]` staging
+/// through `Tensor::zeros`-style constructors is plain R3 business.
+const SCRATCH_KINDS: &[&str] =
+    &[".to_vec()", ".clone()", "Vec::new", "Vec::with_capacity", "Box::new", "format!"];
 
-/// `Type::ctor` pairs A1 bans.
-const A1_CTORS: &[(&str, &str)] =
-    &[("Vec", "new"), ("Vec", "with_capacity"), ("Box", "new")];
-
-/// Macros A1 bans.
-const A1_MACROS: &[&str] = &["format"];
-
-/// Run R1–R4 and append findings. `files` must be the same slice the
-/// graph was built from (findings quote source lines through it).
-pub fn run_interproc(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    check_r1(files, graph, cfg, findings);
-    check_r2(files, graph, cfg, findings);
-    check_r3(files, graph, findings);
-    check_r4(files, cfg, findings);
-    check_a1(files, graph, cfg, findings);
-}
-
-/// [`run_interproc`] with per-rule wall time (ms) appended to `timings`.
+/// Run R1–R4, appending findings and per-rule wall time (ms). `files`
+/// must be the same slice the graph was built from (findings quote
+/// source lines through it).
 pub fn run_interproc_timed(
     files: &[SourceFile],
     graph: &CallGraph,
@@ -115,14 +106,11 @@ pub fn run_interproc_timed(
     check_r2(files, graph, cfg, findings);
     timings.push(("R2".to_string(), crate::rules::ms_since(t0)));
     let t0 = std::time::Instant::now();
-    check_r3(files, graph, findings);
+    check_r3(files, graph, cfg, findings);
     timings.push(("R3".to_string(), crate::rules::ms_since(t0)));
     let t0 = std::time::Instant::now();
     check_r4(files, cfg, findings);
     timings.push(("R4".to_string(), crate::rules::ms_since(t0)));
-    let t0 = std::time::Instant::now();
-    check_a1(files, graph, cfg, findings);
-    timings.push(("A1".to_string(), crate::rules::ms_since(t0)));
 }
 
 pub(crate) fn file_of<'a>(files: &'a [SourceFile], f: &FnDef) -> Option<&'a SourceFile> {
@@ -236,8 +224,12 @@ fn check_r2(
                 !cands.is_empty() && cands.iter().all(|&c| graph.fns[c].returns_result)
             })
         };
-        for stmt in statements(&file.toks, f.body.clone()) {
-            let toks = &file.toks;
+        let toks = &file.toks;
+        // `;`-terminated statements; block-bearing ones are not produced.
+        let stmts = segments(toks, f.body.clone())
+            .into_iter()
+            .filter(|s| toks.get(s.end).is_some_and(|t| t.is_punct(';')));
+        for stmt in stmts {
             let discarded = match discard_shape(toks, stmt.clone()) {
                 Some(d) => d,
                 None => continue,
@@ -270,29 +262,6 @@ fn check_r2(
 enum Discard {
     LetUnderscore,
     BareStatement,
-}
-
-/// Split a body token range into `;`-terminated statement spans. Spans
-/// are *flat*: nested blocks contribute their own statements, and a
-/// statement containing a block (e.g. `if .. { .. }`) is not produced.
-fn statements(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let end = body.end.min(toks.len());
-    let mut start = body.start;
-    let mut i = body.start;
-    while i < end {
-        let t = &toks[i];
-        if t.is_punct('{') || t.is_punct('}') {
-            start = i + 1;
-        } else if t.is_punct(';') {
-            if start < i {
-                out.push(start..i);
-            }
-            start = i + 1;
-        }
-        i += 1;
-    }
-    out
 }
 
 /// Does this statement span discard its value? `let _ = ...` always
@@ -355,7 +324,12 @@ fn ends_in_unwrap(toks: &[Tok], stmt: std::ops::Range<usize>) -> bool {
 
 // ---------------------------------------------------------------- R3
 
-fn check_r3(files: &[SourceFile], graph: &CallGraph, findings: &mut Vec<Finding>) {
+fn check_r3(
+    files: &[SourceFile],
+    graph: &CallGraph,
+    cfg: &Config,
+    findings: &mut Vec<Finding>,
+) {
     let roots: Vec<FnId> = graph
         .fns
         .iter()
@@ -373,15 +347,22 @@ fn check_r3(files: &[SourceFile], graph: &CallGraph, findings: &mut Vec<Finding>
             continue;
         }
         let Some(file) = file_of(files, f) else { continue };
-        let sites = allocation_sites(&file.toks, f.body.clone(), ALLOC_SETS);
+        let disciplined = cfg.r3_scratch.iter().any(|c| c == &f.crate_name)
+            && !f.owner.as_deref().is_some_and(|o| o.ends_with("Scratch"));
+        let sites = allocation_sites(&file.toks, f.body.clone(), disciplined);
         if sites.is_empty() {
             continue;
         }
         let flow = EscapeFlow::new(&file.toks, f);
         for (tok, line, what) in sites {
-            if flow.cleared(tok) {
+            let churn = what != ".clone()" && !flow.cleared(tok);
+            let unscratched = disciplined
+                && SCRATCH_KINDS.contains(&what.as_str())
+                && !flow.through_scratch(tok);
+            if !(churn || unscratched) {
                 continue;
             }
+            let arena = if churn { "" } else { " outside the scratch arena" };
             push_at(
                 findings,
                 files,
@@ -389,7 +370,7 @@ fn check_r3(files: &[SourceFile], graph: &CallGraph, findings: &mut Vec<Finding>
                 &f.rel_path,
                 line,
                 format!(
-                    "allocation ({what}) on a hot path: {}",
+                    "allocation ({what}) on a hot path{arena}: {}",
                     chain_text(graph, &parents, id)
                 ),
             );
@@ -397,24 +378,12 @@ fn check_r3(files: &[SourceFile], graph: &CallGraph, findings: &mut Vec<Finding>
     }
 }
 
-/// Which method/ctor/macro names count as allocation sites.
-struct AllocSets {
-    methods: &'static [&'static str],
-    ctors: &'static [(&'static str, &'static str)],
-    macros: &'static [&'static str],
-}
-
-const ALLOC_SETS: &AllocSets =
-    &AllocSets { methods: ALLOC_METHODS, ctors: ALLOC_CTORS, macros: ALLOC_MACROS };
-
-const A1_SETS: &AllocSets =
-    &AllocSets { methods: A1_METHODS, ctors: A1_CTORS, macros: A1_MACROS };
-
-/// Allocation sites (token index, line, description) in a body range.
+/// Allocation sites (token index, line, description) in a body range;
+/// `with_clone` also counts `.clone()` (the scratch discipline).
 fn allocation_sites(
     toks: &[Tok],
     body: std::ops::Range<usize>,
-    sets: &AllocSets,
+    with_clone: bool,
 ) -> Vec<(usize, u32, String)> {
     let mut out = Vec::new();
     let end = body.end.min(toks.len());
@@ -423,7 +392,7 @@ fn allocation_sites(
         if t.kind != TokKind::Ident {
             continue;
         }
-        if sets.methods.contains(&t.text.as_str())
+        if (ALLOC_METHODS.contains(&t.text.as_str()) || (with_clone && t.text == "clone"))
             && i >= 1
             && toks[i - 1].is_punct('.')
             && next_non_turbofish_is_paren(toks, i + 1, end)
@@ -431,13 +400,13 @@ fn allocation_sites(
             out.push((i, t.line, format!(".{}()", t.text)));
             continue;
         }
-        if sets.macros.contains(&t.text.as_str())
+        if ALLOC_MACROS.contains(&t.text.as_str())
             && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
         {
             out.push((i, t.line, format!("{}!", t.text)));
             continue;
         }
-        if let Some((ty, ctor)) = sets.ctors.iter().find(|(ty, _)| t.is_ident(ty)) {
+        if let Some((ty, ctor)) = ALLOC_CTORS.iter().find(|(ty, _)| t.is_ident(ty)) {
             // `Vec::new(..)` — possibly with a turbofish on the type.
             let mut j = i + 1;
             if toks.get(j).is_some_and(|n| n.is_punct(':'))
@@ -462,7 +431,7 @@ fn allocation_sites(
     out
 }
 
-/// Per-fn escape analysis for R3v2 and A1 (see module docs): statement
+/// Per-fn escape analysis for R3 (see module docs): statement
 /// groups at the outer scope, closure-body scoping, and a backward
 /// taint fixpoint from the fn's escape surfaces (`&mut`/`Scratch`
 /// params, return value, tail expression).
@@ -485,6 +454,8 @@ fn allocation_sites(
 /// value). A closure whose value goes nowhere tainted clears nothing.
 struct EscapeFlow<'a> {
     toks: &'a [Tok],
+    /// The fn body's token range.
+    body: std::ops::Range<usize>,
     /// Closure body ranges, parallel to `scopes[1..]`.
     closures: Vec<std::ops::Range<usize>>,
     /// Scope 0 is the fn body; scope `1 + k` is `closures[k]`.
@@ -685,8 +656,8 @@ impl<'a> EscapeFlow<'a> {
         let scopes: Vec<ScopeFlow> =
             scopes.into_iter().map(|s| s.expect("all scopes computed")).collect();
 
-        let oncelock = oncelock_arg_spans(toks, body);
-        EscapeFlow { toks, closures, scopes, oncelock, scratch }
+        let oncelock = oncelock_arg_spans(toks, body.clone());
+        EscapeFlow { toks, body, closures, scopes, oncelock, scratch }
     }
 
     /// Is the allocation at token `at` cleared — proven to escape into
@@ -721,28 +692,22 @@ impl<'a> EscapeFlow<'a> {
             .iter()
             .any(|c| self.scratch.contains(c) || c == "scratch" || c.ends_with("_scratch"))
     }
-}
 
-/// Split a body into flat spans at `;`, `{`, `}`. Unlike
-/// [`statements`], spans adjacent to braces (loop/if headers, tail
-/// expressions) are kept, so every non-delimiter token belongs to
-/// exactly one span.
-fn segments(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<std::ops::Range<usize>> {
-    let mut out = Vec::new();
-    let end = body.end.min(toks.len());
-    let mut start = body.start;
-    for (i, t) in toks.iter().enumerate().take(end).skip(body.start) {
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            if start < i {
-                out.push(start..i);
-            }
-            start = i + 1;
-        }
+    /// Does the site at `at` go through a scratch binding — its
+    /// receiver path, or anything in its statement
+    /// (`scratch.staging.extend(series.to_vec())`)?
+    fn through_scratch(&self, at: usize) -> bool {
+        self.scratch_receiver(at)
+            || segments(self.toks, self.body.clone())
+                .iter()
+                .find(|s| s.contains(&at))
+                .is_some_and(|seg| {
+                    self.toks[seg.clone()].iter().any(|t| {
+                        t.kind == TokKind::Ident
+                            && (self.scratch.contains(&t.text) || t.text.ends_with("Scratch"))
+                    })
+                })
     }
-    if start < end {
-        out.push(start..end);
-    }
-    out
 }
 
 /// Token indices of the `{`/`}` delimiting `match` bodies. Statement
@@ -775,23 +740,10 @@ fn match_brace_spans(
             }
             j += 1;
         }
-        if j >= end {
-            continue;
-        }
-        let open = j;
-        let mut braces = 0i32;
-        while j < end {
-            if toks[j].is_punct('{') {
-                braces += 1;
-            } else if toks[j].is_punct('}') {
-                braces -= 1;
-                if braces == 0 {
-                    out.insert(open);
-                    out.insert(j);
-                    break;
-                }
-            }
-            j += 1;
+        let close = close_delim(toks, j, end, '{', '}');
+        if close < end {
+            out.insert(j);
+            out.insert(close);
         }
     }
     out
@@ -814,20 +766,7 @@ fn is_tail_segment(toks: &[Tok], seg_end: usize, body_end: usize) -> bool {
             let Some(open) = (i + 1..end).find(|&j| toks[j].is_punct('{')) else {
                 return false;
             };
-            let mut depth = 0usize;
-            let mut j = open;
-            while j < end {
-                if toks[j].is_punct('{') {
-                    depth += 1;
-                } else if toks[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            i = j + 1;
+            i = close_delim(toks, open, end, '{', '}') + 1;
             continue;
         }
         return false;
@@ -918,20 +857,7 @@ fn ident_is_assigned(toks: &[Tok], i: usize, end: usize) -> bool {
         return assigns_at(i + 1);
     }
     // `x[..]... = ` — skip index brackets, then require an assignment.
-    let mut j = i + 1;
-    let mut depth = 0usize;
-    while j < end {
-        if toks[j].is_punct('[') {
-            depth += 1;
-        } else if toks[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        j += 1;
-    }
-    assigns_at(j + 1)
+    assigns_at(close_delim(toks, i + 1, end, '[', ']') + 1)
 }
 
 /// `Scratch`-typed bindings visible in the body: the fn's
@@ -1027,20 +953,7 @@ fn closure_body_ranges(
                 .unwrap_or(end);
         }
         if toks.get(k).is_some_and(|t| t.is_punct('{')) {
-            let mut depth = 0usize;
-            let mut j = k;
-            while j < end {
-                if toks[j].is_punct('{') {
-                    depth += 1;
-                } else if toks[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            out.push(k + 1..j);
+            out.push(k + 1..close_delim(toks, k, end, '{', '}'));
         }
         i = close + 1;
     }
@@ -1059,101 +972,11 @@ fn oncelock_arg_spans(
         if !(toks[i].is_ident("get_or_init") || toks[i].is_ident("get_or_try_init")) {
             continue;
         }
-        let Some(open) = toks.get(i + 1).filter(|t| t.is_punct('(')).map(|_| i + 1) else {
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < end {
-            if toks[j].is_punct('(') {
-                depth += 1;
-            } else if toks[j].is_punct(')') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
+        if toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+            out.push(i + 2..close_delim(toks, i + 1, end, '(', ')'));
         }
-        out.push(open + 1..j);
     }
     out
-}
-
-// ---------------------------------------------------------------- A1
-
-fn check_a1(
-    files: &[SourceFile],
-    graph: &CallGraph,
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    if cfg.a1_crates.is_empty() {
-        return;
-    }
-    let roots: Vec<FnId> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.is_hot && !f.in_test)
-        .map(|(id, _)| id)
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let parents = graph.reach_with_parents(&roots);
-    for &id in parents.keys() {
-        let f = &graph.fns[id];
-        if f.in_test || !cfg.a1_crates.iter().any(|c| c == &f.crate_name) {
-            continue;
-        }
-        // A scratch arena's own methods are the one place allowed to
-        // allocate — that is where capacity lives.
-        if f.owner.as_deref().is_some_and(|o| o.ends_with("Scratch")) {
-            continue;
-        }
-        let Some(file) = file_of(files, f) else { continue };
-        let toks = &file.toks;
-        let body = f.body.start..f.body.end.min(toks.len());
-        let sites = allocation_sites(toks, body.clone(), A1_SETS);
-        if sites.is_empty() {
-            continue;
-        }
-        let scratch = scratch_names(toks, body.clone(), &f.scratch_params);
-        let segs = segments(toks, body);
-        let approved = |at: usize| -> bool {
-            let through_scratch = crate::traitobj::receiver_components(toks, at)
-                .iter()
-                .any(|c| scratch.contains(c) || c == "scratch" || c.ends_with("_scratch"));
-            if through_scratch {
-                return true;
-            }
-            // The site's whole statement works on a scratch binding
-            // (`scratch.staging.extend(series.to_vec())`-style flows).
-            segs.iter().find(|s| s.contains(&at)).is_some_and(|seg| {
-                toks[seg.clone()].iter().any(|t| {
-                    t.kind == TokKind::Ident
-                        && (scratch.contains(&t.text) || t.text.ends_with("Scratch"))
-                })
-            })
-        };
-        for (tok, line, what) in sites {
-            if approved(tok) {
-                continue;
-            }
-            push_at(
-                findings,
-                files,
-                "A1",
-                &f.rel_path,
-                line,
-                format!(
-                    "scratch-discipline violation ({what}) in a hot-reachable fn: {}",
-                    chain_text(graph, &parents, id)
-                ),
-            );
-        }
-    }
 }
 
 /// After `.name`, is the next thing `(` — allowing `::<T>` in between?
@@ -1165,24 +988,6 @@ fn next_non_turbofish_is_paren(toks: &[Tok], mut j: usize, end: usize) -> bool {
         j = skip_angle(toks, j + 2, end);
     }
     toks.get(j).is_some_and(|n| n.is_punct('('))
-}
-
-/// Index just past the `>` matching the `<` at `open`.
-fn skip_angle(toks: &[Tok], open: usize, end: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < end {
-        if toks[j].is_punct('<') {
-            depth += 1;
-        } else if toks[j].is_punct('>') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    end
 }
 
 // ---------------------------------------------------------------- R4
@@ -1224,8 +1029,8 @@ fn check_r4_file(file: &SourceFile, findings: &mut Vec<Finding>) {
                 // count sums stay legal.
                 None => statement_mentions_float(toks, i),
             };
-            if flagged && toks_call_follows(toks, i + 1) {
-                findings.push(finding_at(file, t.line, format!("float `.sum()` — {R4_HINT}")));
+            if flagged && next_non_turbofish_is_paren(toks, i + 1, n) {
+                push(findings, file, "R4", t.line, format!("float `.sum()` — {R4_HINT}"));
             }
             continue;
         }
@@ -1239,7 +1044,7 @@ fn check_r4_file(file: &SourceFile, findings: &mut Vec<Finding>) {
             && toks.get(i + 2).is_some_and(|z| z.kind == TokKind::Num && z.text.contains('.'))
             && !fold_is_selection(toks, i + 1)
         {
-            findings.push(finding_at(file, t.line, format!("float `.fold()` — {R4_HINT}")));
+            push(findings, file, "R4", t.line, format!("float `.fold()` — {R4_HINT}"));
             continue;
         }
         // `acc += term` on a float local inside a loop body.
@@ -1250,22 +1055,14 @@ fn check_r4_file(file: &SourceFile, findings: &mut Vec<Finding>) {
             && float_locals.contains(&toks[i - 1].text)
             && loop_ranges.iter().any(|r| r.contains(&i))
         {
-            findings.push(finding_at(
+            push(
+                findings,
                 file,
+                "R4",
                 t.line,
                 format!("float `+=` accumulation in a loop — {R4_HINT}"),
-            ));
+            );
         }
-    }
-}
-
-fn finding_at(file: &SourceFile, line: u32, message: String) -> Finding {
-    Finding {
-        rule: "R4",
-        path: file.rel_path.clone(),
-        line,
-        message,
-        snippet: file.line_text(line).to_string(),
     }
 }
 
@@ -1284,11 +1081,6 @@ fn turbofish_types(toks: &[Tok], j: usize) -> Option<Vec<String>> {
         .map(|t| t.text.clone())
         .collect();
     Some(names)
-}
-
-/// Is the token at/after `j` (past an optional turbofish) a `(`?
-fn toks_call_follows(toks: &[Tok], j: usize) -> bool {
-    next_non_turbofish_is_paren(toks, j, toks.len())
 }
 
 /// Does the `.fold(...)` call whose `(` sits at `open` select rather
@@ -1364,22 +1156,8 @@ fn loop_body_ranges(toks: &[Tok]) -> Vec<std::ops::Range<usize>> {
         }
         // The loop body is the first `{` after the header (this
         // codebase never puts a struct literal in a loop header).
-        let open = (i + 1..toks.len()).find(|&j| toks[j].is_punct('{'));
-        if let Some(open) = open {
-            let mut depth = 0usize;
-            let mut j = open;
-            while j < toks.len() {
-                if toks[j].is_punct('{') {
-                    depth += 1;
-                } else if toks[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            out.push(open..j);
+        if let Some(open) = (i + 1..toks.len()).find(|&j| toks[j].is_punct('{')) {
+            out.push(open..close_delim(toks, open, toks.len(), '{', '}'));
         }
     }
     out
@@ -1388,25 +1166,15 @@ fn loop_body_ranges(toks: &[Tok]) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn lib_file(crate_name: &str, src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: crate_name.into(),
-            rel_path: format!("crates/{crate_name}/src/lib.rs"),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
+        SourceFile::new(crate_name, format!("crates/{crate_name}/src/lib.rs"), FileKind::Lib, src)
     }
 
     fn run(files: Vec<SourceFile>, cfg: &Config) -> Vec<Finding> {
         let graph = CallGraph::build(&files);
         let mut findings = Vec::new();
-        run_interproc(&files, &graph, cfg, &mut findings);
+        run_interproc_timed(&files, &graph, cfg, &mut findings, &mut Vec::new());
         findings
     }
 
@@ -1647,6 +1415,24 @@ mod tests {
     }
 
     #[test]
+    fn r3_sees_past_the_arrow_inside_a_turbofish() {
+        // The `>` of `->` closes no generic, so the second constructor's
+        // turbofish ends at the real `>>`, not inside `Fn(u8) -> u8`.
+        let files = vec![lib_file(
+            "a",
+            "#[doc(alias = \"tsda::hot\")]\n\
+             pub fn kernel() {\n\
+                 let a = Vec::<u8>::new();\n\
+                 let v = Vec::<Box<dyn Fn(u8) -> u8>>::new();\n\
+             }\n",
+        )];
+        let findings = run(files, &Config::default());
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 4], "{findings:?}");
+    }
+
+    // The `a1_*` tests pin R3's scratch discipline.
+    #[test]
     fn a1_flags_banned_allocations_outside_scratch_receivers() {
         let files = vec![lib_file(
             "serve",
@@ -1667,29 +1453,84 @@ mod tests {
                  copy\n\
              }\n",
         )];
-        let cfg = cfg_with(|c| c.a1_crates = vec!["serve".into()]);
+        let cfg = cfg_with(|c| c.r3_scratch = vec!["serve".into()]);
         let findings = run(files, &cfg);
-        let a1: Vec<&Finding> = findings.iter().filter(|f| f.rule == "A1").collect();
         // The scratch-receiver `.to_vec()` is approved, the arena's own
-        // `grow` is exempt; `helper`'s copies are violations — note R3
-        // clears the returned `copy` (constructor flow) but A1 still
-        // bans it in a scratch-disciplined crate.
-        let lines: Vec<u32> = a1.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![13, 14], "{a1:?}");
-        assert!(a1[0].message.contains("scratch-discipline violation (.to_vec())"));
-        assert!(a1[1].message.contains("format!"), "{}", a1[1].message);
-        assert!(a1[0].message.contains("serve::submit"), "{}", a1[0].message);
+        // `grow` is exempt; `helper`'s copies are findings — escape
+        // analysis clears the returned `copy` (constructor flow), but
+        // the discipline still bans it in a scratch-disciplined crate.
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![13, 14], "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "R3"), "{findings:?}");
+        assert!(
+            findings[0].message.contains("(.to_vec()) on a hot path outside the scratch arena"),
+            "{}",
+            findings[0].message
+        );
+        assert!(findings[1].message.contains("format!"), "{}", findings[1].message);
+        assert!(findings[0].message.contains("serve::submit"), "{}", findings[0].message);
     }
 
     #[test]
     fn a1_is_silent_without_crate_opt_in() {
-        let files = vec![lib_file(
-            "serve",
-            "#[doc(alias = \"tsda::hot\")]\n\
-             pub fn submit(series: &[f64]) { let c = series.to_vec(); }\n",
-        )];
-        let findings = run(files, &Config::default());
-        assert!(findings.iter().all(|f| f.rule != "A1"), "{findings:?}");
+        // A returned copy escapes, and `.clone()` is no allocation site,
+        // outside the scratch-disciplined crates.
+        let src = "#[doc(alias = \"tsda::hot\")]\n\
+                   pub fn submit(series: &[f64], w: &Weights) -> Vec<f64> {\n\
+                       let k = w.clone();\n\
+                       series.to_vec()\n\
+                   }\n";
+        let findings = run(vec![lib_file("serve", src)], &Config::default());
+        assert!(findings.is_empty(), "{findings:?}");
+        let cfg = cfg_with(|c| c.r3_scratch = vec!["serve".into()]);
+        let findings = run(vec![lib_file("serve", src)], &cfg);
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 4], "{findings:?}");
+    }
+
+    #[test]
+    fn scratch_discipline_flags_clone_and_keeps_r3_sites_elsewhere() {
+        let files = vec![
+            lib_file(
+                "serve",
+                "#[doc(alias = \"tsda::hot\")]\n\
+                 pub fn submit(req: &Request, scratch: &mut ReqScratch) -> usize {\n\
+                     let owned = req.clone();\n\
+                     scratch.rows.push(owned.len());\n\
+                     tsda_core::step(req.len())\n\
+                 }\n",
+            ),
+            lib_file(
+                "core",
+                "pub fn step(n: usize) -> usize {\n\
+                     let mut tmp = Vec::new();\n\
+                     tmp.push(n);\n\
+                     let copy = tmp.clone();\n\
+                     n\n\
+                 }\n",
+            ),
+        ];
+        let cfg = cfg_with(|c| c.r3_scratch = vec!["serve".into()]);
+        let findings = run(files, &cfg);
+        let mut sites: Vec<(&str, u32, &str)> =
+            findings.iter().map(|f| (f.path.as_str(), f.line, f.message.as_str())).collect();
+        sites.sort();
+        // `.clone()` in the disciplined crate is a finding; the scratch
+        // push is not. Outside it, the plain R3 sites (the dead local's
+        // `Vec::new` and `.push()`) stay findings and `.clone()` does not
+        // count.
+        let at: Vec<(&str, u32)> = sites.iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(
+            at,
+            vec![
+                ("crates/core/src/lib.rs", 2),
+                ("crates/core/src/lib.rs", 3),
+                ("crates/serve/src/lib.rs", 3),
+            ],
+            "{findings:?}"
+        );
+        assert!(sites[1].2.contains("(.push())"), "{}", sites[1].2);
+        assert!(sites[2].2.contains("(.clone())"), "{}", sites[2].2);
     }
 
     #[test]

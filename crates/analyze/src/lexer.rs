@@ -54,6 +54,108 @@ impl Tok {
     }
 }
 
+// The token-walking helpers every pass shares. Ranges are half-open
+// token index ranges; `end` bounds every scan.
+
+/// Index of the first `c` punct in `i..end`, or `end`.
+pub(crate) fn find_punct(toks: &[Tok], i: usize, end: usize, c: char) -> usize {
+    (i..end).find(|&j| toks[j].is_punct(c)).unwrap_or(end)
+}
+
+/// Index of the `c` matching the first `o` at/after `open`, or `end`
+/// when it is unmatched.
+pub(crate) fn close_delim(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().take(end).skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    end
+}
+
+/// Index just past the closer [`close_delim`] finds, or `end`.
+pub(crate) fn match_delim(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
+    (close_delim(toks, open, end, o, c) + 1).min(end)
+}
+
+/// Is the token at `i` a `>` that closes a generic? The lexer never
+/// fuses puncts, so the `>` of `->` (`Box<dyn Fn(u8) -> u8>`) must
+/// not count.
+pub(crate) fn closes_angle(toks: &[Tok], i: usize) -> bool {
+    toks[i].is_punct('>') && !(i > 0 && toks[i - 1].is_punct('-'))
+}
+
+/// Index just past the `>` matching the `<` at `open`, or `end`.
+pub(crate) fn skip_angle(toks: &[Tok], open: usize, end: usize) -> usize {
+    let mut depth = 0usize;
+    for j in open..end {
+        if toks[j].is_punct('<') {
+            depth += 1;
+        } else if closes_angle(toks, j) {
+            depth = depth.saturating_sub(1);
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+    }
+    end
+}
+
+/// Index of the first token in `from..end` that satisfies `stop` while
+/// outside every `()`/`[]`/`<>` group opened in the range, or `end`:
+/// the end of a parameter, field or ascribed type.
+pub(crate) fn find_top_level(
+    toks: &[Tok],
+    from: usize,
+    end: usize,
+    stop: impl Fn(&Tok) -> bool,
+) -> usize {
+    let mut depth = 0usize;
+    for j in from..end {
+        let t = &toks[j];
+        if depth == 0 && stop(t) {
+            return j;
+        }
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || closes_angle(toks, j) {
+            depth = depth.saturating_sub(1);
+        }
+    }
+    end
+}
+
+/// Flat spans of `body` between `;`, `{` and `}` tokens: every
+/// non-delimiter token belongs to exactly one span, whether the span
+/// is a `;`-terminated statement, a loop/`if` header or a tail
+/// expression.
+pub(crate) fn segments(
+    toks: &[Tok],
+    body: std::ops::Range<usize>,
+) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let end = body.end.min(toks.len());
+    let mut start = body.start;
+    for (i, t) in toks.iter().enumerate().take(end).skip(body.start) {
+        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+            if start < i {
+                out.push(start..i);
+            }
+            start = i + 1;
+        }
+    }
+    if start < end {
+        out.push(start..end);
+    }
+    out
+}
+
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }
@@ -478,6 +580,28 @@ mod tests {
         // closing the `::<Vec<Vec<u8>>>` turbofish.
         assert_eq!(gts, 6, "{toks:?}");
         assert!(toks.iter().all(|(k, t)| !(*k == TokKind::Punct && t == ">>")), "{toks:?}");
+    }
+
+    #[test]
+    fn token_helpers_match_groups_and_skip_arrows() {
+        let toks =
+            lex("f(a, (b)) Vec::<Box<dyn Fn(u8) -> u8>>::new() g(h: Box<dyn Fn() -> u8>, k)");
+        let at = |text: &str| toks.iter().position(|t| t.text == text).expect("token present");
+        // `(` of `f` matches the `)` after `(b)`.
+        let open = at("(");
+        assert_eq!(close_delim(&toks, open, toks.len(), '(', ')'), open + 6);
+        assert_eq!(match_delim(&toks, open, toks.len(), '(', ')'), open + 7);
+        // Unmatched: both report `end`.
+        assert_eq!(close_delim(&toks, open, open + 3, '(', ')'), open + 3);
+        assert_eq!(match_delim(&toks, open, open + 3, '(', ')'), open + 3);
+        // The turbofish ends at its own `>>`, not at the `->`.
+        let lt = at("<");
+        let past = skip_angle(&toks, lt, toks.len());
+        assert!(toks[past].is_punct(':') && toks[past + 2].is_ident("new"), "{:?}", toks[past]);
+        // A parameter's type runs past the arrow to the top-level `,`.
+        let h = at("h");
+        let comma = find_top_level(&toks, h, toks.len(), |t| t.is_punct(','));
+        assert!(toks[comma + 1].is_ident("k"), "{:?}", toks[comma + 1]);
     }
 
     #[test]

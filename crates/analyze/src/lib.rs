@@ -10,7 +10,10 @@
 //! crate machine-checks them on every build instead of relying on
 //! reviewer vigilance.
 //!
-//! Four rules (details in [`rules`]):
+//! Two front ends feed the rules. The [lexer] turns each file into
+//! tokens (strings, raw strings, nested comments and lifetimes handled
+//! exactly), and the token rules in [`rules`] judge one token pattern
+//! at a time:
 //!
 //! * **D1 no-nondeterminism** — unseeded RNGs anywhere; wall-clock
 //!   reads and `HashMap`/`HashSet` in result-producing library code.
@@ -22,18 +25,20 @@
 //! * **F1 float-reduction-order** — raw `thread::spawn`/`scope`
 //!   outside the blessed deterministic pool in `tsda-core::parallel`.
 //!
+//! The item [parser] recovers fns, owners, calls and panic sites from
+//! the same tokens; the [call graph](callgraph) links them across
+//! crates, and two passes run on it: the [interprocedural](interproc)
+//! rules (R1 panic reachability, R2 discarded `Result`s, R3 hot-path
+//! allocation, R4 float-accumulation order) and the [dataflow] rules
+//! (L1 lock order, L2 guards held across blocking, T1 untrusted
+//! lengths, C1 lossy wire casts). [`docs::RULE_DOCS`] documents each.
+//!
 //! Scoping and the justification-bearing allowlist live in the
 //! checked-in [`analyze.toml`](config) at the workspace root. The
 //! `tsda_analyze` bin exits 0 on a clean tree, 1 on findings, 2 on
 //! usage/config errors; `--format json` emits the stable schema
 //! documented in [`report`].
-//!
-//! There is no `syn` in the offline container, so the pass runs on a
-//! [hand-rolled lexer](lexer) — token-accurate (strings, raw strings,
-//! nested comments, lifetimes) but deliberately not a parser; the
-//! rules are chosen to be decidable on the token stream.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod dataflow;
@@ -43,7 +48,6 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod traitobj;
 pub mod workspace;
 

@@ -23,9 +23,14 @@
 //! have no concrete names until expansion, which the analyzer never
 //! performs. Functions generated by local macros (the GEMM kernels) are
 //! therefore invisible to the call graph — calls *to* them simply
-//! resolve to no candidates, which fails safe for every rule here.
+//! resolve to no candidates, which fails safe for every rule here. (P1
+//! still scans those bodies: it runs the same panic-site scan over
+//! whole files.)
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{
+    closes_angle, find_punct, find_top_level, match_delim, skip_angle, Tok, TokKind,
+};
+use crate::rules::{panic_sites, PanicSite};
 use crate::workspace::SourceFile;
 
 /// Keywords that look like `ident (` call heads but are not calls.
@@ -53,15 +58,6 @@ pub struct Call {
     pub line: u32,
     /// Token index of the callee ident (into the file's token stream).
     pub tok: usize,
-}
-
-/// One potential panic inside a function body.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// 1-based source line.
-    pub line: u32,
-    /// What panics: `.unwrap()`, `panic!`, `[\"...\"]`, ...
-    pub what: String,
 }
 
 /// One parsed function item.
@@ -92,15 +88,14 @@ pub struct FnDef {
     /// First parameter is a `self` receiver — only these are callable
     /// with `.name(..)` method syntax.
     pub has_self: bool,
+    /// Named non-receiver parameters as (binding, type token span).
+    pub params: Vec<(String, std::ops::Range<usize>)>,
     /// Names of `&mut`-reference parameters — caller-provided
     /// out-params an allocation may legitimately flow into.
     pub mut_params: Vec<String>,
     /// Names of parameters whose declared type names a `Scratch` type
     /// (ident ending in `Scratch`), by value or reference.
     pub scratch_params: Vec<String>,
-    /// Token index of the `fn` keyword; `sig_start..body.end` spans
-    /// the whole item, header included (trait-object coercion census).
-    pub sig_start: usize,
     /// Declares generic parameters (`fn name<...>`), so a turbofish
     /// call could target it.
     pub is_generic: bool,
@@ -177,7 +172,7 @@ fn parse_items(
         let t = &toks[i];
         // Outer attribute: remember its span for the next item.
         if t.is_punct('#') && toks.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            let close = match_bracket(toks, i + 1, end);
+            let close = match_delim(toks, i + 1, end, '[', ']');
             attrs.push(i..close);
             i = close;
             continue;
@@ -187,7 +182,7 @@ fn parse_items(
             && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
             && toks.get(i + 2).is_some_and(|n| n.is_punct('['))
         {
-            i = match_bracket(toks, i + 2, end);
+            i = match_delim(toks, i + 2, end, '[', ']');
             continue;
         }
         if t.kind == TokKind::Ident {
@@ -197,7 +192,7 @@ fn parse_items(
                 "pub" | "const" | "unsafe" | "async" | "extern" | "default" => {
                     // `pub(crate)` / `pub(in path)` visibility scope.
                     if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                        i = match_paren(toks, i + 1, end);
+                        i = match_delim(toks, i + 1, end, '(', ')');
                     } else {
                         i += 1;
                     }
@@ -206,7 +201,7 @@ fn parse_items(
                 "macro_rules" => {
                     // `macro_rules! name { ... }` — opaque; see module docs.
                     let open = find_punct(toks, i, end, '{');
-                    i = match_brace(toks, open, end);
+                    i = match_delim(toks, open, end, '{', '}');
                     attrs.clear();
                     continue;
                 }
@@ -214,7 +209,7 @@ fn parse_items(
                     if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
                         let after = i + 2;
                         if toks.get(after).is_some_and(|n| n.is_punct('{')) {
-                            let close = match_brace(toks, after, end);
+                            let close = match_delim(toks, after, end, '{', '}');
                             let mut nested = modules.to_vec();
                             nested.push(name.text.clone());
                             parse_items(ctx, after + 1, close.saturating_sub(1), &nested, owner);
@@ -251,7 +246,7 @@ fn parse_items(
                                 of_trait: of_trait.map(str::to_string),
                             }
                         });
-                    let close = match_brace(toks, open, end);
+                    let close = match_delim(toks, open, end, '{', '}');
                     parse_items(
                         ctx,
                         open + 1,
@@ -327,7 +322,7 @@ fn owner_from_header(
         let t = &toks[j];
         if t.is_punct('<') {
             depth += 1;
-        } else if t.is_punct('>') {
+        } else if closes_angle(toks, j) {
             depth = depth.saturating_sub(1);
         } else if depth == 0 && t.kind == TokKind::Ident {
             match t.text.as_str() {
@@ -359,64 +354,27 @@ fn parse_fn(
     let line = toks[i].line;
     let mut j = i + 2; // past `fn name`
 
-    // Generic parameters: `<` ... matching `>` (single-char `>` tokens,
-    // so nested generics close one level per token).
     let is_generic = toks.get(j).is_some_and(|t| t.is_punct('<'));
     if is_generic {
-        let mut depth = 0usize;
-        while j < end {
-            if toks[j].is_punct('<') {
-                depth += 1;
-            } else if toks[j].is_punct('>') {
-                depth -= 1;
-                if depth == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
+        j = skip_angle(toks, j, end);
     }
     // Parameter list, split at top-level commas. The receiver, when
     // present, is always the first parameter (covers `self`,
-    // `mut self`, `&self`, `&'a mut self`, `self: Arc<Self>`); the
-    // rest are scanned for `&mut`-reference and `Scratch`-typed
-    // bindings.
+    // `mut self`, `&self`, `&'a mut self`, `self: Arc<Self>`).
     let mut has_self = false;
-    let mut mut_params = Vec::new();
-    let mut scratch_params = Vec::new();
+    let mut params = Vec::new();
     if toks.get(j).is_some_and(|t| t.is_punct('(')) {
-        let close = match_paren(toks, j, end);
-        let inner = j + 1..close.saturating_sub(1);
-        let mut depth = 0usize;
-        let mut param_start = inner.start;
-        for p in inner.clone() {
-            let t = &toks[p];
-            if t.is_punct('(') || t.is_punct('<') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct('>') || t.is_punct(']') {
-                depth = depth.saturating_sub(1);
-            } else if depth == 0 && t.is_punct(',') {
-                scan_param(
-                    toks,
-                    param_start..p,
-                    param_start == inner.start,
-                    &mut has_self,
-                    &mut mut_params,
-                    &mut scratch_params,
-                );
-                param_start = p + 1;
+        let close = match_delim(toks, j, end, '(', ')');
+        let inner_end = close.saturating_sub(1);
+        let mut start = j + 1;
+        while start < inner_end {
+            let stop = find_top_level(toks, start, inner_end, |t| t.is_punct(','));
+            if start == j + 1 && toks[start..stop].iter().any(|t| t.is_ident("self")) {
+                has_self = true;
+            } else if let Some(param) = named_param(toks, start..stop) {
+                params.push(param);
             }
-        }
-        if param_start < inner.end {
-            scan_param(
-                toks,
-                param_start..inner.end,
-                param_start == inner.start,
-                &mut has_self,
-                &mut mut_params,
-                &mut scratch_params,
-            );
+            start = stop + 1;
         }
         j = close;
     }
@@ -426,23 +384,10 @@ fn parse_fn(
     if toks.get(j).is_some_and(|t| t.is_punct('-'))
         && toks.get(j + 1).is_some_and(|t| t.is_punct('>'))
     {
-        j += 2;
-        let ret_start = j;
-        let mut depth = 0usize;
-        while j < end {
-            let t = &toks[j];
-            if depth == 0 && (t.is_punct('{') || t.is_punct(';') || t.is_ident("where")) {
-                break;
-            }
-            match () {
-                _ if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') => depth += 1,
-                _ if t.is_punct('>') || t.is_punct(')') || t.is_punct(']') => {
-                    depth = depth.saturating_sub(1);
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        let ret_start = j + 2;
+        j = find_top_level(toks, ret_start, end, |t| {
+            t.is_punct('{') || t.is_punct(';') || t.is_ident("where")
+        });
         // The *outermost* type constructor decides fallibility; skip
         // reference/pointer sigils to find it.
         let head = (ret_start..j).find(|&k| toks[k].kind == TokKind::Ident);
@@ -471,16 +416,27 @@ fn parse_fn(
     }
     // Body (or `;` for declarations).
     let (body, resume) = if toks.get(j).is_some_and(|t| t.is_punct('{')) {
-        let close = match_brace(toks, j, end);
+        let close = match_delim(toks, j, end, '{', '}');
         (j + 1..close.saturating_sub(1), close)
     } else {
         (j..j, (j + 1).min(end))
     };
 
+    let names_where = |typed: &dyn Fn(&[Tok]) -> bool| -> Vec<String> {
+        params.iter().filter(|(_, ty)| typed(&toks[ty.clone()])).map(|(n, _)| n.clone()).collect()
+    };
+    // `&mut T` / `&'a mut T`: a caller-provided out-param.
+    let mut_params = names_where(&|ty| {
+        let at = if ty.get(1).is_some_and(|t| t.kind == TokKind::Lifetime) { 2 } else { 1 };
+        ty.first().is_some_and(|t| t.is_punct('&')) && ty.get(at).is_some_and(|t| t.is_ident("mut"))
+    });
+    let scratch_params = names_where(&|ty| {
+        ty.iter().any(|t| t.kind == TokKind::Ident && t.text.ends_with("Scratch"))
+    });
     let is_hot = attrs.iter().any(|a| is_hot_attr(toks, a.clone()));
     let in_test = file.in_test.get(i).copied().unwrap_or(false);
     let calls = extract_calls(toks, body.clone());
-    let panics = extract_panics(file, body.clone());
+    let panics = panic_sites(toks, body.clone());
     (
         FnDef {
             crate_name: file.crate_name.clone(),
@@ -494,9 +450,9 @@ fn parse_fn(
             returns_result,
             returns_option,
             has_self,
+            params,
             mut_params,
             scratch_params,
-            sig_start: i,
             is_generic,
             is_hot,
             body,
@@ -508,47 +464,22 @@ fn parse_fn(
     )
 }
 
-/// Inspect one parameter span `pattern : Type`. The first parameter
-/// may be a `self` receiver; `&mut`-reference and `Scratch`-typed
-/// parameters are recorded by binding name (destructuring patterns
-/// have no single name and are skipped, which fails safe: an unnamed
-/// out-param simply clears nothing).
-fn scan_param(
+/// A `[mut] name : Type` parameter span as its binding and type span.
+/// Destructuring patterns have no single name and yield `None`, which
+/// fails safe: an unnamed out-param simply clears nothing.
+fn named_param(
     toks: &[Tok],
     span: std::ops::Range<usize>,
-    may_be_self: bool,
-    has_self: &mut bool,
-    mut_params: &mut Vec<String>,
-    scratch_params: &mut Vec<String>,
-) {
-    if may_be_self && toks[span.clone()].iter().any(|t| t.is_ident("self")) {
-        *has_self = true;
-        return;
-    }
-    // `name : Type` — the colon must directly follow the (optionally
-    // `mut`-prefixed) binding ident.
+) -> Option<(String, std::ops::Range<usize>)> {
     let mut k = span.start;
     if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
         k += 1;
     }
-    let Some(name) = toks.get(k).filter(|t| t.kind == TokKind::Ident) else { return };
+    let name = toks.get(k).filter(|t| t.kind == TokKind::Ident)?;
     if k + 2 > span.end || !toks[k + 1].is_punct(':') {
-        return;
+        return None;
     }
-    let ty = &toks[k + 2..span.end];
-    // `&mut T` / `&'a mut T` — a caller-provided out-param.
-    if ty.first().is_some_and(|t| t.is_punct('&')) {
-        let mut ti = 1;
-        if ty.get(ti).is_some_and(|t| t.kind == TokKind::Lifetime) {
-            ti += 1;
-        }
-        if ty.get(ti).is_some_and(|t| t.is_ident("mut")) {
-            mut_params.push(name.text.clone());
-        }
-    }
-    if ty.iter().any(|t| t.kind == TokKind::Ident && t.text.ends_with("Scratch")) {
-        scratch_params.push(name.text.clone());
-    }
+    Some((name.text.clone(), k + 2..span.end))
 }
 
 /// Is the attribute span `#[doc(alias = "tsda::hot")]`?
@@ -571,7 +502,7 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
             continue;
         }
         // Macro invocation `name!(..)`: not a function call (panic
-        // macros are picked up by `extract_panics`).
+        // macros are picked up by `rules::panic_sites`).
         if toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
             i += 2;
             continue;
@@ -584,22 +515,8 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
             && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
             && toks.get(j + 2).is_some_and(|n| n.is_punct('<'))
         {
-            let mut depth = 0usize;
-            let mut k = j + 2;
-            while k < end {
-                if toks[k].is_punct('<') {
-                    depth += 1;
-                } else if toks[k].is_punct('>') {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                k += 1;
-            }
             has_turbofish = true;
-            j = k;
+            j = skip_angle(toks, j + 2, end);
         }
         if !toks.get(j).is_some_and(|n| n.is_punct('(')) {
             i += 1;
@@ -637,102 +554,13 @@ fn extract_calls(toks: &[Tok], body: std::ops::Range<usize>) -> Vec<Call> {
     calls
 }
 
-/// Extract panic sites from a body token range (the same shapes P1
-/// lints for: panicking method calls, aborting macros, string-keyed
-/// indexing).
-fn extract_panics(file: &SourceFile, body: std::ops::Range<usize>) -> Vec<PanicSite> {
-    let toks = &file.toks;
-    let mut sites = Vec::new();
-    let end = body.end.min(toks.len());
-    for i in body.start..end {
-        let t = &toks[i];
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i >= 1
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            sites.push(PanicSite { line: t.line, what: format!(".{}()", t.text) });
-            continue;
-        }
-        if crate::rules::PANIC_MACROS.iter().any(|m| t.is_ident(m))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            sites.push(PanicSite { line: t.line, what: format!("{}!", t.text) });
-            continue;
-        }
-        if t.is_punct('[')
-            && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Str)
-            && toks.get(i + 2).is_some_and(|n| n.is_punct(']'))
-            && i >= 1
-            && (toks[i - 1].kind == TokKind::Ident || toks[i - 1].is_punct(')'))
-        {
-            sites.push(PanicSite {
-                line: t.line,
-                what: format!("[{:?}] indexing", toks[i + 1].text),
-            });
-        }
-    }
-    sites
-}
-
-/// Index of the first `c` punct at/after `i` (or `end`).
-fn find_punct(toks: &[Tok], i: usize, end: usize, c: char) -> usize {
-    (i..end).find(|&j| toks[j].is_punct(c)).unwrap_or(end)
-}
-
-/// Index just past the `}` matching the `{` at/after `open`.
-fn match_brace(toks: &[Tok], open: usize, end: usize) -> usize {
-    match_delim(toks, open, end, '{', '}')
-}
-
-/// Index just past the `)` matching the `(` at `open`.
-fn match_paren(toks: &[Tok], open: usize, end: usize) -> usize {
-    match_delim(toks, open, end, '(', ')')
-}
-
-/// Index just past the `]` matching the `[` at `open`.
-fn match_bracket(toks: &[Tok], open: usize, end: usize) -> usize {
-    match_delim(toks, open, end, '[', ']')
-}
-
-fn match_delim(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < end {
-        if toks[j].is_punct(o) {
-            depth += 1;
-        } else if toks[j].is_punct(c) {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use crate::workspace::FileKind;
 
-    fn file(src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: "x".into(),
-            rel_path: "crates/x/src/lib.rs".into(),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
-    }
-
     fn parse(src: &str) -> Vec<FnDef> {
-        parse_fns(&file(src))
+        parse_fns(&SourceFile::new("x", "crates/x/src/lib.rs", FileKind::Lib, src))
     }
 
     #[test]
@@ -906,6 +734,21 @@ mod tests {
         assert_eq!(fns[2].scratch_params, vec!["scratch"]);
         assert_eq!(fns[3].mut_params, vec!["buf"]);
         assert_eq!(fns[3].scratch_params, vec!["s"]);
+    }
+
+    #[test]
+    fn an_arrow_in_impl_generics_closes_no_angle() {
+        // `fn() -> T` inside the trait's generics: the `>` of `->` must
+        // not end `Handler<..>` early and make `T` the trait name.
+        let fns = parse(
+            "impl<T> Handler<fn() -> T> for Pool<T> { fn go(&self) {} }\n\
+             fn takes<F: Fn(u8) -> u8>(f: F, out: &mut Vec<u8>) { out.push(f(1)); }\n",
+        );
+        assert_eq!(fns[0].owner.as_deref(), Some("Pool"));
+        assert_eq!(fns[0].impl_trait.as_deref(), Some("Handler"));
+        assert!(fns[1].is_generic);
+        assert_eq!(fns[1].mut_params, vec!["out"]);
+        assert!(fns[1].calls.iter().any(|c| c.name == "push"), "{:?}", fns[1].calls);
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   "summary": {"total": 1,
 //!               "by_rule": {"D1": 0, "F1": 0, "P1": 1, "U1": 0,
 //!                           "R1": 0, "R2": 0, "R3": 0, "R4": 0,
-//!                           "A1": 0, "L1": 0, "L2": 0, "T1": 0,
-//!                           "C1": 0},
+//!                           "L1": 0, "L2": 0, "T1": 0, "C1": 0},
 //!               "timings_ms": {"D1": 1.2, "...": 0.0}}
 //! }
 //! ```
@@ -150,7 +149,7 @@ impl Report {
             Value::Object(pairs)
         };
         let mut by_rule = Vec::new();
-        for rule in ["D1", "F1", "P1", "U1", "R1", "R2", "R3", "R4", "A1", "L1", "L2", "T1", "C1"] {
+        for rule in ["D1", "F1", "P1", "U1", "R1", "R2", "R3", "R4", "L1", "L2", "T1", "C1"] {
             by_rule.push((rule.to_string(), Value::Num(self.count(rule) as f64)));
         }
         let timings = Value::Object(

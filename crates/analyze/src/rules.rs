@@ -8,8 +8,8 @@
 //! | check                         | crates              | kinds       | `#[cfg(test)]` |
 //! |-------------------------------|---------------------|-------------|----------------|
 //! | D1 unseeded RNG               | all                 | all         | scanned        |
-//! | D1 wall-clock (`Instant`, …)  | `[rules.D1].time`   | lib         | skipped        |
-//! | D1 hash-order (`HashMap`, …)  | `[rules.D1].hash`   | lib         | skipped        |
+//! | D1 wall-clock (`Instant`, …)  | `[rules.D1].crates` | lib         | skipped        |
+//! | D1 hash-order (`HashMap`, …)  | `[rules.D1].crates` | lib         | skipped        |
 //! | P1 panic sites                | `[rules.P1].crates` | lib         | skipped        |
 //! | U1 undocumented `unsafe`      | all                 | all         | scanned        |
 //! | U1 missing `forbid` in lib.rs | all                 | crate-level | —              |
@@ -21,13 +21,14 @@
 //! memory as happily as production code does.
 
 use crate::config::Config;
+use crate::lexer::{Tok, TokKind};
 use crate::workspace::{FileKind, SourceFile};
 use std::collections::BTreeMap;
 
 /// One raw lint finding (allowlist not yet applied).
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id: `D1`, `P1`, `U1`, or `F1`.
+    /// Rule id (`D1` ... `C1`, see [`crate::docs::RULE_DOCS`]).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub path: String,
@@ -59,20 +60,56 @@ const HASH_IDENTS: &[(&str, &str)] = &[
 ];
 
 /// Macros that abort the thread.
-pub(crate) const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Run every token-stream rule over `files`, returning findings sorted
-/// by `(path, line, rule)`.
-pub fn run_rules(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
-    let (mut findings, _) = run_rules_timed(files, cfg);
-    sort_dedup(&mut findings);
-    findings
+/// One potential panic: a token and what panics there.
+#[derive(Debug, Clone)]
+pub struct PanicSite {
+    /// Token index (into the file's token stream).
+    pub tok: usize,
+    /// 1-based source line.
+    pub line: u32,
+    /// What panics: `.unwrap()`, `panic!`, `["key"] indexing`, ...
+    pub what: String,
 }
 
-/// Like [`run_rules`] but unsorted, with per-rule wall time in
-/// milliseconds. (Timing the linter is legal even though D1 bans
-/// wall-clock reads in result-producing crates: rule duration is
-/// diagnostics, and `analyze` is not in any D1 scope.)
+/// The panic sites in `toks[range]`: `.unwrap()`/`.expect()` method
+/// calls, the `panic!` macro family, and string-keyed indexing (which
+/// panics on a missing map entry; `.get("key")` is the fallible
+/// spelling). P1 scans whole files with it, R1 each parsed fn body.
+pub(crate) fn panic_sites(toks: &[Tok], range: std::ops::Range<usize>) -> Vec<PanicSite> {
+    let mut sites = Vec::new();
+    for i in range.start..range.end.min(toks.len()) {
+        let t = &toks[i];
+        let what = if (t.is_ident("unwrap") || t.is_ident("expect"))
+            && i >= 1
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
+            format!(".{}()", t.text)
+        } else if PANIC_MACROS.iter().any(|m| t.is_ident(m))
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
+        {
+            format!("{}!", t.text)
+        } else if t.is_punct('[')
+            && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Str)
+            && toks.get(i + 2).is_some_and(|n| n.is_punct(']'))
+            && i >= 1
+            && (toks[i - 1].kind == TokKind::Ident || toks[i - 1].is_punct(')'))
+        {
+            format!("[{:?}] indexing", toks[i + 1].text)
+        } else {
+            continue;
+        };
+        sites.push(PanicSite { tok: i, line: t.line, what });
+    }
+    sites
+}
+
+/// Run every token-stream rule over `files`, unsorted, with per-rule
+/// wall time in milliseconds. (Timing the linter is legal even though
+/// D1 bans wall-clock reads in result-producing crates: rule duration
+/// is diagnostics, and `analyze` is not in any D1 scope.)
 pub fn run_rules_timed(
     files: &[SourceFile],
     cfg: &Config,
@@ -128,7 +165,15 @@ fn in_list(list: &[String], crate_name: &str) -> bool {
     list.iter().any(|c| c == crate_name)
 }
 
-fn push(findings: &mut Vec<Finding>, file: &SourceFile, rule: &'static str, line: u32, message: String) {
+/// Record a finding of `rule` at 1-based `line` of `file`, quoting that
+/// line as the snippet the allowlist matches against.
+pub(crate) fn push(
+    findings: &mut Vec<Finding>,
+    file: &SourceFile,
+    rule: &'static str,
+    line: u32,
+    message: String,
+) {
     findings.push(Finding {
         rule,
         path: file.rel_path.clone(),
@@ -139,8 +184,7 @@ fn push(findings: &mut Vec<Finding>, file: &SourceFile, rule: &'static str, line
 }
 
 fn check_d1(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
-    let time_scope = in_list(&cfg.d1_time, &file.crate_name) && file.kind == FileKind::Lib;
-    let hash_scope = in_list(&cfg.d1_hash, &file.crate_name) && file.kind == FileKind::Lib;
+    let lib_scope = in_list(&cfg.d1_crates, &file.crate_name) && file.kind == FileKind::Lib;
     for (i, t) in file.toks.iter().enumerate() {
         if let Some((_, why)) = RNG_IDENTS.iter().find(|(name, _)| t.is_ident(name)) {
             push(
@@ -155,7 +199,7 @@ fn check_d1(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
         if file.in_test[i] {
             continue;
         }
-        if time_scope && TIME_IDENTS.iter().any(|name| t.is_ident(name)) {
+        if lib_scope && TIME_IDENTS.iter().any(|name| t.is_ident(name)) {
             push(
                 findings,
                 file,
@@ -168,7 +212,7 @@ fn check_d1(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
                 ),
             );
         }
-        if hash_scope {
+        if lib_scope {
             if let Some((_, ordered)) = HASH_IDENTS.iter().find(|(name, _)| t.is_ident(name)) {
                 push(
                     findings,
@@ -190,61 +234,23 @@ fn check_p1(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
     if !in_list(&cfg.p1_crates, &file.crate_name) || file.kind != FileKind::Lib {
         return;
     }
-    let toks = &file.toks;
-    for i in 0..toks.len() {
-        if file.in_test[i] {
+    // The whole file, `macro_rules!` bodies included: the item parser
+    // skips those, so R1 cannot see into them.
+    for site in panic_sites(&file.toks, 0..file.toks.len()) {
+        if file.in_test[site.tok] {
             continue;
         }
-        let t = &toks[i];
-        // `.unwrap(` / `.expect(` — a method call, not a definition.
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            push(
-                findings,
-                file,
-                "P1",
-                t.line,
-                format!(
-                    "`.{}()` in library code can panic; return a TsdaError (or allowlist a \
-                     startup-time/infallible-by-construction site with a reason)",
-                    t.text
-                ),
-            );
-            continue;
-        }
-        // panic!/unreachable!/todo!/unimplemented!
-        if PANIC_MACROS.iter().any(|m| t.is_ident(m))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            push(
-                findings,
-                file,
-                "P1",
-                t.line,
-                format!("`{}!` aborts the calling thread; return a TsdaError instead", t.text),
-            );
-            continue;
-        }
-        // `thing["key"]` — indexing a map by literal key panics on a
-        // missing entry; `.get("key")` is the fallible spelling.
-        if t.is_punct('[')
-            && toks.get(i + 1).is_some_and(|n| n.kind == crate::lexer::TokKind::Str)
-            && toks.get(i + 2).is_some_and(|n| n.is_punct(']'))
-            && i > 0
-            && (toks[i - 1].kind == crate::lexer::TokKind::Ident || toks[i - 1].is_punct(')'))
-        {
-            push(
-                findings,
-                file,
-                "P1",
-                t.line,
-                "string-keyed `[...]` indexing panics on a missing entry; use `.get(...)`"
-                    .to_string(),
-            );
-        }
+        push(
+            findings,
+            file,
+            "P1",
+            site.line,
+            format!(
+                "panic site ({}) in library code; return a TsdaError, use `.get(..)` for keyed \
+                 lookups, or allowlist an infallible-by-construction site with a reason",
+                site.what
+            ),
+        );
     }
 }
 
@@ -371,25 +377,20 @@ fn check_f1(file: &SourceFile, cfg: &Config, findings: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn lib_file(crate_name: &str, src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: crate_name.into(),
-            rel_path: format!("crates/{crate_name}/src/lib.rs"),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
+        SourceFile::new(crate_name, format!("crates/{crate_name}/src/lib.rs"), FileKind::Lib, src)
+    }
+
+    fn run_rules(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
+        let (mut findings, _) = run_rules_timed(files, cfg);
+        sort_dedup(&mut findings);
+        findings
     }
 
     fn cfg_all(name: &str) -> Config {
         Config {
-            d1_time: vec![name.into()],
-            d1_hash: vec![name.into()],
+            d1_crates: vec![name.into()],
             p1_crates: vec![name.into()],
             f1_crates: vec![name.into()],
             ..Config::default()
@@ -420,6 +421,23 @@ mod tests {
         let found = run_rules(&[f], &cfg_all("x"));
         let p1: Vec<_> = found.iter().filter(|f| f.rule == "P1").collect();
         assert_eq!(p1.len(), 2, "{p1:?}");
+    }
+
+    #[test]
+    fn p1_scans_macro_rules_bodies() {
+        // The item parser skips `macro_rules!` bodies (R1 never sees
+        // them); P1 still flags a panic site written inside one.
+        let f = lib_file(
+            "x",
+            "macro_rules! kernel {\n\
+                 ($name:ident) => { pub fn $name(o: Option<u8>) -> u8 { o.unwrap() } };\n\
+             }\n",
+        );
+        let found = run_rules(&[f], &cfg_all("x"));
+        let p1: Vec<_> = found.iter().filter(|f| f.rule == "P1").collect();
+        assert_eq!(p1.len(), 1, "{p1:?}");
+        assert_eq!(p1[0].line, 2);
+        assert!(p1[0].message.contains(".unwrap()"), "{}", p1[0].message);
     }
 
     #[test]

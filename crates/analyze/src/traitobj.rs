@@ -38,7 +38,7 @@
 //! no parsed implementors (e.g. macro-generated impls the item parser
 //! cannot see) never narrows at all.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{find_top_level, match_delim, skip_angle, Tok, TokKind};
 use crate::parser::{Call, FnDef};
 use crate::workspace::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -329,10 +329,9 @@ fn collect_field_and_let_slots(
         let t = &toks[i];
         // `struct Name { field: Type, ... }` — brace-struct fields.
         if t.is_ident("struct") {
-            let Some(name_at) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
+            if !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
                 continue;
-            };
-            let _ = name_at;
+            }
             let mut j = i + 2;
             if toks.get(j).is_some_and(|t| t.is_punct('<')) {
                 j = skip_angle(toks, j, n);
@@ -348,7 +347,7 @@ fn collect_field_and_let_slots(
             if !toks.get(j).is_some_and(|t| t.is_punct('{')) {
                 continue;
             }
-            let close = match_brace(toks, j, n);
+            let close = match_delim(toks, j, n, '{', '}');
             collect_decl_slots(toks, j + 1..close.saturating_sub(1), traits, record);
             continue;
         }
@@ -363,20 +362,7 @@ fn collect_field_and_let_slots(
                 continue;
             }
             // Type span to the `=` or `;` at bracket depth 0.
-            let mut depth = 0usize;
-            let mut k = j + 2;
-            while k < n {
-                let tk = &toks[k];
-                if depth == 0 && (tk.is_punct('=') || tk.is_punct(';')) {
-                    break;
-                }
-                if tk.is_punct('<') || tk.is_punct('(') || tk.is_punct('[') {
-                    depth += 1;
-                } else if tk.is_punct('>') || tk.is_punct(')') || tk.is_punct(']') {
-                    depth = depth.saturating_sub(1);
-                }
-                k += 1;
-            }
+            let k = find_top_level(toks, j + 2, n, |t| t.is_punct('=') || t.is_punct(';'));
             if let Some(tr) = dyn_trait_in(toks, j + 2..k, traits) {
                 record(&name.text, tr);
             }
@@ -399,7 +385,7 @@ fn collect_decl_slots(
         // Skip visibility and attributes between fields.
         if t.is_ident("pub") {
             if toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                i = match_paren(toks, i + 1, end);
+                i = match_delim(toks, i + 1, end, '(', ')');
             } else {
                 i += 1;
             }
@@ -411,20 +397,7 @@ fn collect_decl_slots(
         }
         if t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct(':')) {
             // Field type runs to the next `,` at depth 0.
-            let mut depth = 0usize;
-            let mut k = i + 2;
-            while k < end {
-                let tk = &toks[k];
-                if depth == 0 && tk.is_punct(',') {
-                    break;
-                }
-                if tk.is_punct('<') || tk.is_punct('(') || tk.is_punct('[') {
-                    depth += 1;
-                } else if tk.is_punct('>') || tk.is_punct(')') || tk.is_punct(']') {
-                    depth = depth.saturating_sub(1);
-                }
-                k += 1;
-            }
+            let k = find_top_level(toks, i + 2, end, |t| t.is_punct(','));
             if let Some(tr) = dyn_trait_in(toks, i + 2..k, traits) {
                 record(&t.text, tr);
             }
@@ -443,44 +416,10 @@ fn collect_param_slots(
     traits: &BTreeSet<&str>,
     record: &mut dyn FnMut(&str, &str),
 ) {
-    let header_end = if f.body.is_empty() { toks.len() } else { f.body.start };
-    let mut j = f.sig_start + 2; // past `fn name`
-    if toks.get(j).is_some_and(|t| t.is_punct('<')) {
-        j = skip_angle(toks, j, header_end);
-    }
-    if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
-        return;
-    }
-    let close = match_paren(toks, j, header_end);
-    let inner = j + 1..close.saturating_sub(1);
-    let mut depth = 0usize;
-    let mut start = inner.start;
-    let mut scan = |span: std::ops::Range<usize>| {
-        let mut k = span.start;
-        if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-            k += 1;
+    for (name, ty) in &f.params {
+        if let Some(tr) = dyn_trait_in(toks, ty.clone(), traits) {
+            record(name, tr);
         }
-        let Some(name) = toks.get(k).filter(|t| t.kind == TokKind::Ident) else { return };
-        if k + 2 > span.end || !toks[k + 1].is_punct(':') {
-            return;
-        }
-        if let Some(tr) = dyn_trait_in(toks, k + 2..span.end, traits) {
-            record(&name.text, tr);
-        }
-    };
-    for p in inner.clone() {
-        let t = &toks[p];
-        if t.is_punct('(') || t.is_punct('<') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct('>') || t.is_punct(']') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 && t.is_punct(',') {
-            scan(start..p);
-            start = p + 1;
-        }
-    }
-    if start < inner.end {
-        scan(start..inner.end);
     }
 }
 
@@ -501,48 +440,6 @@ fn dyn_trait_in<'t>(
     None
 }
 
-fn skip_angle(toks: &[Tok], open: usize, end: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < end {
-        if toks[j].is_punct('<') {
-            depth += 1;
-        } else if toks[j].is_punct('>') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    end
-}
-
-fn match_brace(toks: &[Tok], open: usize, end: usize) -> usize {
-    match_delim(toks, open, end, '{', '}')
-}
-
-fn match_paren(toks: &[Tok], open: usize, end: usize) -> usize {
-    match_delim(toks, open, end, '(', ')')
-}
-
-fn match_delim(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < end {
-        if toks[j].is_punct(o) {
-            depth += 1;
-        } else if toks[j].is_punct(c) {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,16 +448,7 @@ mod tests {
     use crate::workspace::{FileKind, SourceFile};
 
     fn file(crate_name: &str, src: &str) -> SourceFile {
-        let toks = lex(src);
-        let in_test = vec![false; toks.len()];
-        SourceFile {
-            crate_name: crate_name.into(),
-            rel_path: format!("crates/{crate_name}/src/lib.rs"),
-            kind: FileKind::Lib,
-            lines: src.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        }
+        SourceFile::new(crate_name, format!("crates/{crate_name}/src/lib.rs"), FileKind::Lib, src)
     }
 
     fn collect(src: &str) -> (TraitObjects, SourceFile) {

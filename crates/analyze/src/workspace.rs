@@ -19,7 +19,7 @@
 //! of scope: they mirror external crates.io surfaces (including
 //! `rand::thread_rng`) and are not this workspace's code.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, match_delim, Tok, TokKind};
 use std::path::{Path, PathBuf};
 
 /// How a file's rules should be scoped.
@@ -51,6 +51,31 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
+    /// Lex `text` as the file `rel_path` of crate `crate_name`. Every
+    /// token of a test file is test code; elsewhere the `#[cfg(test)]`
+    /// regions are.
+    pub fn new(
+        crate_name: impl Into<String>,
+        rel_path: impl Into<String>,
+        kind: FileKind,
+        text: &str,
+    ) -> SourceFile {
+        let toks = lex(text);
+        let in_test = if kind == FileKind::Test {
+            vec![true; toks.len()]
+        } else {
+            mark_cfg_test_regions(&toks)
+        };
+        SourceFile {
+            crate_name: crate_name.into(),
+            rel_path: rel_path.into(),
+            kind,
+            lines: text.lines().map(str::to_string).collect(),
+            toks,
+            in_test,
+        }
+    }
+
     /// The trimmed text of 1-based line `line` (empty when out of range).
     pub fn line_text(&self, line: u32) -> &str {
         self.lines
@@ -86,20 +111,7 @@ pub fn load_workspace(
         };
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let toks = lex(&text);
-        let in_test = if kind == FileKind::Test {
-            vec![true; toks.len()]
-        } else {
-            mark_cfg_test_regions(&toks)
-        };
-        files.push(SourceFile {
-            crate_name,
-            rel_path,
-            kind,
-            lines: text.lines().map(str::to_string).collect(),
-            toks,
-            in_test,
-        });
+        files.push(SourceFile::new(crate_name, rel_path, kind, &text));
     }
     Ok(files)
 }
@@ -294,20 +306,7 @@ fn is_cfg_test_attr_start(toks: &[Tok], i: usize) -> bool {
 
 /// Index just past the `]` closing the attribute that starts at `i`.
 fn skip_attr(toks: &[Tok], i: usize) -> usize {
-    let mut j = i + 1; // at '['
-    let mut depth = 0usize;
-    while j < toks.len() {
-        if toks[j].is_punct('[') {
-            depth += 1;
-        } else if toks[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
+    match_delim(toks, i + 1, toks.len(), '[', ']')
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! The README's rule table must be exactly `docs::readme_table()`.
+//! The rule documentation must match what the analyzer emits.
 //!
-//! `--explain`, the SARIF rule metadata, and the README all document
-//! the rules; the first two render from `docs::RULE_DOCS` at runtime,
-//! so only the README can drift. This test closes that gap: the block
-//! between the `rule-table:begin`/`rule-table:end` markers has to be
-//! byte-identical to the rendered table.
+//! `--explain` and the README both document the rules; the first
+//! renders from `docs::RULE_DOCS` at runtime, so only the README can
+//! drift. These tests close that gap: the block between the
+//! `rule-table:begin`/`rule-table:end` markers has to be byte-identical
+//! to the rendered table, and every rule id a report emits (the fixture
+//! tree fires all of them) has to have a `RULE_DOCS` entry.
 
 use std::path::Path;
+use tsda_analyze::config::Config;
 
 #[test]
 fn readme_rule_table_matches_docs_module() {
@@ -44,4 +46,29 @@ fn every_documented_rule_explains() {
         assert!(text.contains(doc.id), "{} explain text lacks its own id", doc.id);
         assert!(text.contains("[[allow]]"), "{} explain text lacks allowlist guidance", doc.id);
     }
+}
+
+#[test]
+fn every_emitted_rule_is_documented() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let text = std::fs::read_to_string(root.join("analyze.toml")).expect("fixture config");
+    let cfg = Config::parse(&text).expect("fixture config parses");
+    let report = tsda_analyze::analyze(&root, &cfg).expect("fixture tree analyzes");
+    let mut emitted: Vec<&str> = report
+        .findings
+        .iter()
+        .chain(report.allowed.iter().map(|a| &a.finding))
+        .map(|f| f.rule)
+        .collect();
+    emitted.sort_unstable();
+    emitted.dedup();
+    for id in &emitted {
+        assert!(
+            tsda_analyze::docs::RULE_DOCS.iter().any(|d| d.id == *id),
+            "rule {id} is emitted but has no RULE_DOCS entry"
+        );
+    }
+    // The fixtures fire every documented rule, so the check above
+    // covers the whole table.
+    assert_eq!(emitted.len(), tsda_analyze::docs::RULE_DOCS.len(), "{emitted:?}");
 }

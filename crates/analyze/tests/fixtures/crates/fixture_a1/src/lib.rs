@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
-//! A1 scratch-discipline fixture (the crate is listed in
-//! `[rules.A1].crates`).
+//! R3 scratch-discipline fixture (the crate is listed in
+//! `[rules.R3].scratch`).
 //!
 //! Pins the four behaviours of the rule: banned allocations in
 //! hot-reachable fns are findings even when R3v2's escape analysis
@@ -21,8 +21,8 @@ impl ReqScratch {
     }
 }
 
-/// A1 root: the `.to_vec()` copy escapes into `encode`'s argument so
-/// R3v2 clears it, but A1 still bans it — serving crates route
+/// Hot root: the `.to_vec()` copy escapes into `encode`'s argument so
+/// escape analysis clears it, but the discipline still bans it — serving crates route
 /// buffers through the arena instead of allocating fresh ones.
 #[doc(alias = "tsda::hot")]
 pub fn submit(scratch: &mut ReqScratch, xs: &[f64]) -> usize {

@@ -153,7 +153,7 @@ impl Conv1d {
 }
 
 impl Layer for Conv1d {
-    // Hot path (`tsda_analyze` R3 + A1): `infer` plus the backward
+    // Hot path (`tsda_analyze` R3, scratch discipline): `infer` plus the backward
     // cache, refreshed in place in the cache tensor's buffers.
     #[doc(alias = "tsda::hot")]
     fn forward(&mut self, x: &Tensor) -> Tensor {
@@ -162,7 +162,7 @@ impl Layer for Conv1d {
         out
     }
 
-    // Hot path (`tsda_analyze` R3 + A1): the only steady-state
+    // Hot path (`tsda_analyze` R3, scratch discipline): the only steady-state
     // allocation is the escaping output tensor — im2col columns come
     // from the per-worker scratch.
     #[doc(alias = "tsda::hot")]

@@ -1,5 +1,5 @@
 //! Allocation-count harness for `Conv1d::infer` — the runtime check
-//! behind the `tsda_analyze` A1 scratch rule. Once the per-worker
+//! behind the `tsda_analyze` R3 scratch discipline. Once the per-worker
 //! im2col scratch is warm for a shape, the inference forward pass
 //! allocates only the escaping output tensor: a *fixed number* of
 //! allocator calls, independent of the series length. Doubling `T`

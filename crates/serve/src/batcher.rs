@@ -33,7 +33,7 @@
 //!
 //! # Zero-allocation steady state
 //!
-//! `submit` is a hot path (`tsda_analyze` R3/A1), so nothing on it may
+//! `submit` is a hot path (`tsda_analyze` R3), so nothing on it may
 //! allocate once the server is warm:
 //!
 //! * each queue is a [`JobRing`] — a `VecDeque` preallocated to
@@ -564,7 +564,7 @@ impl Batcher {
     /// queue, shutdown).
     ///
     /// Hot path: runs once per request on the connection thread, so
-    /// `tsda_analyze` R3/A1 keep allocations out of it and its callees
+    /// `tsda_analyze` R3 keeps allocations out of it and its callees
     /// — the ring and the ticket pool are both preallocated.
     #[doc(alias = "tsda::hot")]
     pub fn submit(&self, model: &str, series: Mts) -> Result<PendingReply<BatchReply>, SubmitError> {

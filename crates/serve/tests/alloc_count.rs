@@ -1,6 +1,6 @@
 //! Allocation-count harness for the batcher's zero-allocation steady
-//! state — the runtime check behind the `tsda_analyze` R3v2/A1 static
-//! rules. A counting `#[global_allocator]` wraps the system allocator;
+//! state — the runtime check behind the `tsda_analyze` R3 static
+//! rule. A counting `#[global_allocator]` wraps the system allocator;
 //! after a warm-up pass, a full submit → coalesce → predict → reply →
 //! wait round-trip must perform **zero** heap allocations anywhere in
 //! the process (connection side, ring, ticket pool, worker scratch,
