@@ -28,7 +28,7 @@
 //!   `drop(name)`, or (for `if let` / `match` arms) the end of the
 //!   arm/block that bound it. Acquisitions not captured by a binding
 //!   are live to the end of their statement.
-//! * **Blocking** — a call named in [`BLOCKING_CALLS`] (with arguments,
+//! * **Blocking** — a call named in `BLOCKING_CALLS` (with arguments,
 //!   for the `read`/`write` pair), or a call resolving to a workspace
 //!   function that transitively reaches one. A blocking call that takes
 //!   the guard itself as an argument (condvar `wait(guard)`) releases

@@ -35,7 +35,9 @@
 //! * it sits inside a `get_or_init`/`get_or_try_init` closure (a
 //!   one-time `OnceLock` path);
 //! * its receiver path goes through a `Scratch` binding (`scratch.buf
-//!   .push(..)` — growth amortizes into the arena).
+//!   .push(..)` — growth amortizes into the arena), or, in a method of
+//!   a `*Scratch` owner, it is stored into a field of `self`
+//!   (`self.staging = Vec::with_capacity(n)` — the arena growing).
 //!
 //! The taint is scope-aware: closure bodies are separate scopes with
 //! empty seeds, so an allocation inside a worker closure never clears
@@ -406,7 +408,7 @@ fn allocation_sites(
             out.push((i, t.line, format!("{}!", t.text)));
             continue;
         }
-        if let Some((ty, ctor)) = ALLOC_CTORS.iter().find(|(ty, _)| t.is_ident(ty)) {
+        if ALLOC_CTORS.iter().any(|(ty, _)| t.is_ident(ty)) {
             // `Vec::new(..)` — possibly with a turbofish on the type.
             let mut j = i + 1;
             if toks.get(j).is_some_and(|n| n.is_punct(':'))
@@ -422,9 +424,13 @@ fn allocation_sites(
             }
             if toks.get(j).is_some_and(|n| n.is_punct(':'))
                 && toks.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                && toks.get(j + 2).is_some_and(|n| n.is_ident(ctor))
             {
-                out.push((i, t.line, format!("{ty}::{ctor}")));
+                let pair = ALLOC_CTORS.iter().find(|(ty, ctor)| {
+                    t.is_ident(ty) && toks.get(j + 2).is_some_and(|c| c.is_ident(ctor))
+                });
+                if let Some((ty, ctor)) = pair {
+                    out.push((i, t.line, format!("{ty}::{ctor}")));
+                }
             }
         }
     }
@@ -465,6 +471,9 @@ struct EscapeFlow<'a> {
     /// `Scratch`-typed params and locals (plus the `scratch`-named
     /// field convention).
     scratch: std::collections::BTreeSet<String>,
+    /// The fn is a method of a `*Scratch` owner, whose `self` is the
+    /// arena.
+    scratch_owner: bool,
 }
 
 /// Escape state of one scope's statement groups (see [`EscapeFlow`]).
@@ -657,7 +666,8 @@ impl<'a> EscapeFlow<'a> {
             scopes.into_iter().map(|s| s.expect("all scopes computed")).collect();
 
         let oncelock = oncelock_arg_spans(toks, body.clone());
-        EscapeFlow { toks, body, closures, scopes, oncelock, scratch }
+        let scratch_owner = f.owner.as_deref().is_some_and(|o| o.ends_with("Scratch"));
+        EscapeFlow { toks, body, closures, scopes, oncelock, scratch, scratch_owner }
     }
 
     /// Is the allocation at token `at` cleared — proven to escape into
@@ -667,7 +677,7 @@ impl<'a> EscapeFlow<'a> {
         if self.oncelock.iter().any(|r| r.contains(&at)) {
             return true;
         }
-        if self.scratch_receiver(at) {
+        if self.scratch_receiver(at) || self.stored_into_own_field(at) {
             return true;
         }
         let s = self
@@ -691,6 +701,33 @@ impl<'a> EscapeFlow<'a> {
         crate::traitobj::receiver_components(self.toks, at)
             .iter()
             .any(|c| self.scratch.contains(c) || c == "scratch" || c.ends_with("_scratch"))
+    }
+
+    /// Is the site at `at` in the value of a store into a field of
+    /// `self` (`self.staging = ..`, `self.rows[i] = ..`) in a method of
+    /// a `*Scratch` owner — growth of the arena itself?
+    fn stored_into_own_field(&self, at: usize) -> bool {
+        if !self.scratch_owner {
+            return false;
+        }
+        let toks = self.toks;
+        segments(toks, self.body.clone()).iter().find(|s| s.contains(&at)).is_some_and(|seg| {
+            // Walk `self.a.b` to its last field, then require that field
+            // to be assigned with the site on the right-hand side.
+            let mut k = seg.start;
+            if !(toks[k].is_ident("self") && toks.get(k + 1).is_some_and(|n| n.is_punct('.'))) {
+                return false;
+            }
+            k += 2;
+            while toks.get(k).is_some_and(|n| n.kind == TokKind::Ident)
+                && toks.get(k + 1).is_some_and(|n| n.is_punct('.'))
+            {
+                k += 2;
+            }
+            toks.get(k).is_some_and(|n| n.kind == TokKind::Ident)
+                && k < at
+                && ident_is_assigned(toks, k, seg.end)
+        })
     }
 
     /// Does the site at `at` go through a scratch binding — its
@@ -1429,6 +1466,27 @@ mod tests {
         let findings = run(files, &Config::default());
         let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![3, 4], "{findings:?}");
+    }
+
+    #[test]
+    fn r3_matches_every_constructor_of_an_allocating_type() {
+        // `Vec::with_capacity` and `String::from` follow `Vec::new` and
+        // `String::new` in the constructor table; each is a site.
+        let files = vec![lib_file(
+            "a",
+            "#[doc(alias = \"tsda::hot\")]\n\
+             pub fn kernel(n: usize) {\n\
+                 let buf: Vec<f64> = Vec::with_capacity(n);\n\
+                 let name = String::from(\"x\");\n\
+             }\n",
+        )];
+        let findings = run(files, &Config::default());
+        let sites: Vec<(u32, &str)> =
+            findings.iter().map(|f| (f.line, f.message.as_str())).collect();
+        assert_eq!(sites.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "R3"), "{findings:?}");
+        assert!(sites[0].0 == 3 && sites[0].1.contains("(Vec::with_capacity)"), "{sites:?}");
+        assert!(sites[1].0 == 4 && sites[1].1.contains("(String::from)"), "{sites:?}");
     }
 
     // The `a1_*` tests pin R3's scratch discipline.

@@ -57,7 +57,7 @@ use std::path::Path;
 
 /// Analyze the workspace at `root` with `cfg`: walk, lex, run the
 /// token-stream rules, build the call graph, run the interprocedural
-/// rules and the [dataflow](dataflow) rules (lock order, guard
+/// rules and the [dataflow] rules (lock order, guard
 /// liveness, wire-input taint), apply the allowlist. Per-rule wall
 /// times land in [`Report::timings`].
 pub fn analyze(root: &Path, cfg: &Config) -> Result<Report, String> {

@@ -1,5 +1,5 @@
 //! DTW barycenter averaging (DBA, Petitjean et al. 2011 — the paper's
-//! reference [78]) and weighted-DBA augmentation (Forestier et al.):
+//! reference \[78\]) and weighted-DBA augmentation (Forestier et al.):
 //! a synthetic series is the DTW-barycentre of several class members
 //! with random weights, producing class-faithful "averages" that respect
 //! temporal alignment instead of naive pointwise mixing.

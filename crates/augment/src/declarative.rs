@@ -4,11 +4,10 @@
 //! `(seed, sample index)`.
 //!
 //! The paper evaluates techniques one at a time and names conjunctive
-//! application as future work (§IV-F); [`crate::pipeline::Chain`] and
-//! [`crate::pipeline::RandomChoice`] provide the composition
-//! primitives, and this module adds the declarative, serveable layer on
-//! top: a pipeline is parsed from a TOML subset (same line-based shape
-//! as `analyze.toml`), every per-sample decision draws its RNG from
+//! application as future work (§IV-F). This module is that composition,
+//! sequential stages and a seeded choice within each: a pipeline is
+//! parsed from a TOML subset (same line-based shape as `analyze.toml`),
+//! every per-sample decision draws its RNG from
 //! [`tsda_core::rng::derive_stream`], and batched execution runs on the
 //! shared compute pool offline and on the calling thread when served —
 //! so the output for sample `i` never depends on worker count, batch

@@ -1,5 +1,5 @@
 //! Latent-space (feature-space) augmentation — DeVries & Taylor 2017,
-//! the paper's reference [50]: train an auto-encoder on the class, then
+//! the paper's reference \[50\]: train an auto-encoder on the class, then
 //! perturb or interpolate in the *latent* space and decode. Latent
 //! operations respect the data manifold far better than raw-input
 //! perturbations, which is the whole argument of the taxonomy's

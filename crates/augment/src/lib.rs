@@ -45,7 +45,6 @@ pub mod declarative;
 pub mod decompose_aug;
 pub mod generative;
 pub mod oversample;
-pub mod pipeline;
 pub mod preserve;
 pub mod taxonomy;
 

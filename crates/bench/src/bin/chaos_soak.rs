@@ -63,7 +63,7 @@ fn toy_problem(seed: u64) -> (Dataset, Dataset) {
 /// the ground truth every served label must match bit-for-bit.
 fn build_registry(seed: u64) -> (ModelRegistry, Vec<Label>, Dataset) {
     let (train, test) = toy_problem(seed);
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
     rocket.fit(&train, None, &mut seeded(5));
     let offline = rocket.predict(&test);
     let bytes = SavedModel::Rocket(rocket).save_bytes().expect("save model");

@@ -149,7 +149,7 @@ struct Served {
 
 fn served_models() -> Served {
     let data = generate(DatasetMeta::get(DatasetId::RacketSports), &GenOptions::ci(7));
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 200 });
     rocket.fit(&data.train, None, &mut seeded(23));
     let mut inception = InceptionTime::new(InceptionTimeConfig {
         filters: 2,
@@ -259,7 +259,7 @@ fn bench(served: &Served, rows: &mut Vec<Row>) -> (f64, f64, f64, f64) {
 
     // ROCKET transform at the CI profile's scale.
     let ds = random_dataset(32, 3, 128, 16);
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 300, ..RocketConfig::default() });
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 300 });
     rocket.fit(&ds, None, &mut seeded(17));
     scaling(rows, "rocket_transform", "32 series x 300 kernels", &SCALING_THREADS, || {
         std::hint::black_box(rocket.transform(&ds));

@@ -83,17 +83,6 @@ pub struct GridResult {
     pub improvement_pct: f64,
 }
 
-impl GridResult {
-    /// Techniques whose average accuracy strictly beats the baseline.
-    pub fn improving_techniques(&self) -> Vec<&str> {
-        self.technique_acc
-            .iter()
-            .filter(|(_, acc)| *acc > self.baseline)
-            .map(|(name, _)| name.as_str())
-            .collect()
-    }
-}
-
 /// Run one (dataset, model) cell: baseline + the five paper techniques.
 ///
 /// The `runs × (1 + techniques)` grid cells are embarrassingly

@@ -54,15 +54,6 @@ impl StoredRow {
     }
 }
 
-/// Write arbitrary text under the results directory.
-pub fn save_text(name: &str, content: &str) -> Result<PathBuf, TsdaError> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    Ok(path)
-}
-
 /// Write text to an explicit path, creating parent directories.
 pub fn save_text_at(path: &Path, content: &str) -> Result<(), TsdaError> {
     if let Some(parent) = path.parent() {

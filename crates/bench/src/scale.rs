@@ -38,7 +38,7 @@ impl ScaleProfile {
     /// ROCKET configuration for this profile.
     pub fn rocket(self) -> RocketConfig {
         match self {
-            ScaleProfile::Ci => RocketConfig { n_kernels: 300, ..RocketConfig::default() },
+            ScaleProfile::Ci => RocketConfig { n_kernels: 300 },
             ScaleProfile::Paper => RocketConfig::paper(),
         }
     }

@@ -1,5 +1,5 @@
 //! Time series classifiers: the paper's two baselines — ROCKET with a
-//! ridge classifier, and InceptionTime — plus a 1-NN DTW reference.
+//! ridge classifier, and InceptionTime.
 //!
 //! * [`rocket`] — random convolutional kernel transform (Dempster et
 //!   al. 2020): thousands of random dilated kernels, PPV + max pooled
@@ -13,22 +13,24 @@
 //!   train/val split, early stopping, cyclical LR range test);
 //! * [`minirocket`] — MiniRocket (Dempster et al. 2021), the (almost)
 //!   deterministic ROCKET successor, included as the ROCKET-family
-//!   extension the paper's related work points to;
-//! * [`knn_dtw`] — 1-nearest-neighbour DTW, the classic reference.
+//!   extension the paper's related work points to.
+//!
+//! [`dtw_distance_matrix`] is the pooled all-pairs DTW kernel that
+//! `perf_baseline` measures.
 
 #![forbid(unsafe_code)]
 
+mod dtw;
 pub mod encode;
 pub mod inception;
-pub mod knn_dtw;
 pub mod minirocket;
 pub mod persist;
 pub mod ridge;
 pub mod rocket;
 pub mod traits;
 
+pub use dtw::dtw_distance_matrix;
 pub use inception::{InceptionTime, InceptionTimeConfig};
-pub use knn_dtw::{dtw_distance_matrix, KnnDtw};
 pub use minirocket::{MiniRocket, MiniRocketConfig};
 pub use persist::{load_model, load_model_bytes, save_model, SavedModel};
 pub use ridge::RidgeClassifier;

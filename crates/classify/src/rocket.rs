@@ -24,36 +24,24 @@ use tsda_linalg::simd::{self, SimdLevel};
 /// Codec kind tag for saved ROCKET models.
 pub const ROCKET_KIND: &str = "rocket";
 
-/// Which pooled features each kernel contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RocketFeatures {
-    /// PPV and max per kernel (the ROCKET paper's choice).
-    #[default]
-    PpvAndMax,
-    /// PPV only (the MiniRocket simplification; ablation target).
-    PpvOnly,
-}
-
 /// ROCKET configuration.
 #[derive(Debug, Clone)]
 pub struct RocketConfig {
     /// Number of random kernels (paper: 10 000; each yields 2 features).
     pub n_kernels: usize,
-    /// Pooled feature set per kernel.
-    pub features: RocketFeatures,
 }
 
 impl Default for RocketConfig {
     /// Laptop-scale default; use `paper()` for the full 10 000 kernels.
     fn default() -> Self {
-        Self { n_kernels: 500, features: RocketFeatures::PpvAndMax }
+        Self { n_kernels: 500 }
     }
 }
 
 impl RocketConfig {
     /// The paper's configuration: 10 000 kernels, PPV + max.
     pub fn paper() -> Self {
-        Self { n_kernels: 10_000, features: RocketFeatures::PpvAndMax }
+        Self { n_kernels: 10_000 }
     }
 }
 
@@ -195,12 +183,9 @@ impl Rocket {
         })
     }
 
-    /// Features per series: two per kernel, or one for PPV only.
+    /// Features per series: two per kernel.
     fn n_features(&self) -> usize {
-        match self.config.features {
-            RocketFeatures::PpvAndMax => 2 * self.kernels.len(),
-            RocketFeatures::PpvOnly => self.kernels.len(),
-        }
+        2 * self.kernels.len()
     }
 
     /// Write one series' feature row (kernels in order, PPV then max)
@@ -209,13 +194,8 @@ impl Rocket {
         let lvl = simd::level();
         for (k, kernel) in self.kernels.iter().enumerate() {
             let (ppv, max) = kernel.apply(s, t_len, conv, lvl);
-            match self.config.features {
-                RocketFeatures::PpvAndMax => {
-                    row[2 * k] = ppv;
-                    row[2 * k + 1] = max;
-                }
-                RocketFeatures::PpvOnly => row[k] = ppv,
-            }
+            row[2 * k] = ppv;
+            row[2 * k + 1] = max;
         }
     }
 
@@ -268,10 +248,9 @@ impl Rocket {
         // files keep one layout; the transform always runs on the
         // shared pool.
         cfg.usize(0);
-        cfg.u8(match self.config.features {
-            RocketFeatures::PpvAndMax => 0,
-            RocketFeatures::PpvOnly => 1,
-        });
+        // The retired feature-kind byte (0 = PPV and max, the only kind
+        // left): the slot stays for the same reason.
+        cfg.u8(0);
         w.section("config", cfg.into_bytes());
         let mut meta = ByteWriter::new();
         meta.usize(self.input_shape.0);
@@ -306,11 +285,10 @@ impl Rocket {
         let mut cfg = ByteReader::new(r.section("config")?);
         let n_kernels = cfg.usize()?;
         let _retired_thread_budget = cfg.usize()?;
-        let features = match cfg.u8()? {
-            0 => RocketFeatures::PpvAndMax,
-            1 => RocketFeatures::PpvOnly,
-            other => return Err(TsdaError::Codec(format!("unknown feature kind {other}"))),
-        };
+        let feature_kind = cfg.u8()?;
+        if feature_kind != 0 {
+            return Err(TsdaError::Codec(format!("unknown feature kind {feature_kind}")));
+        }
         cfg.finish()?;
         let mut meta = ByteReader::new(r.section("meta")?);
         let input_shape = (meta.usize()?, meta.usize()?);
@@ -345,7 +323,7 @@ impl Rocket {
         ks.finish()?;
         let ridge = RidgeClassifier::load_codec(&CodecReader::parse(r.section("ridge")?)?)?;
         Ok(Self {
-            config: RocketConfig { n_kernels, features },
+            config: RocketConfig { n_kernels },
             kernels,
             ridge,
             input_shape,
@@ -409,7 +387,7 @@ mod tests {
     fn model_files_with_a_nonzero_thread_budget_load_and_predict_identically() {
         let train = sine_problem(10, 40, 31);
         let test = sine_problem(6, 40, 32);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
         rocket.fit(&train, None, &mut seeded(33));
         let saved = rocket.save_bytes().unwrap();
         // Re-pack the same model with the retired thread-budget slot
@@ -432,10 +410,35 @@ mod tests {
     }
 
     #[test]
+    fn model_files_with_a_nonzero_feature_kind_are_refused() {
+        let train = sine_problem(10, 40, 31);
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
+        rocket.fit(&train, None, &mut seeded(33));
+        let saved = rocket.save_bytes().unwrap();
+        // Re-pack the same model with feature kind 1, the PPV-only
+        // kind this model no longer has.
+        let current = CodecReader::parse(&saved).unwrap();
+        let mut cfg = ByteWriter::new();
+        cfg.usize(60);
+        cfg.usize(0);
+        cfg.u8(1);
+        let mut w = CodecWriter::new(ROCKET_KIND);
+        w.section("config", cfg.into_bytes());
+        for name in ["meta", "kernels", "ridge"] {
+            w.section(name, current.section(name).unwrap().to_vec());
+        }
+        let bytes = w.finish();
+        let names_the_kind =
+            |e: TsdaError| matches!(&e, TsdaError::Codec(m) if m.contains("unknown feature kind 1"));
+        assert!(Rocket::load_bytes(&bytes).err().is_some_and(names_the_kind));
+        assert!(crate::persist::load_model_bytes(&bytes).err().is_some_and(names_the_kind));
+    }
+
+    #[test]
     fn separates_frequency_classes() {
         let train = sine_problem(20, 50, 1);
         let test = sine_problem(10, 50, 2);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 200 });
         let acc = rocket.fit_score(&train, None, &test, &mut seeded(3));
         assert!(acc > 0.9, "accuracy {acc}");
     }
@@ -473,7 +476,7 @@ mod tests {
             }
             t
         };
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 300, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 300 });
         let acc = rocket.fit_score(&ds, None, &test, &mut seeded(5));
         assert!(acc > 0.8, "accuracy {acc}");
     }
@@ -481,7 +484,7 @@ mod tests {
     #[test]
     fn transform_feature_count_is_two_per_kernel() {
         let ds = sine_problem(4, 30, 6);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50 });
         rocket.fit(&ds, None, &mut seeded(7));
         let f = rocket.transform(&ds);
         assert_eq!(f.len(), 8);
@@ -491,7 +494,7 @@ mod tests {
     #[test]
     fn ppv_is_a_proportion() {
         let ds = sine_problem(4, 30, 8);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50 });
         rocket.fit(&ds, None, &mut seeded(9));
         let f = rocket.transform(&ds);
         for row in &f {
@@ -504,30 +507,11 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let ds = sine_problem(5, 30, 10);
-        let mut r1 = Rocket::new(RocketConfig { n_kernels: 30, ..RocketConfig::default() });
-        let mut r2 = Rocket::new(RocketConfig { n_kernels: 30, ..RocketConfig::default() });
+        let mut r1 = Rocket::new(RocketConfig { n_kernels: 30 });
+        let mut r2 = Rocket::new(RocketConfig { n_kernels: 30 });
         r1.fit(&ds, None, &mut seeded(11));
         r2.fit(&ds, None, &mut seeded(11));
         assert_eq!(r1.predict(&ds), r2.predict(&ds));
-    }
-
-    #[test]
-    fn ppv_only_halves_feature_count_and_still_learns() {
-        let train = sine_problem(15, 40, 20);
-        let test = sine_problem(8, 40, 21);
-        let mut rocket = Rocket::new(RocketConfig {
-            n_kernels: 200,
-            features: RocketFeatures::PpvOnly,
-        });
-        rocket.fit(&train, None, &mut seeded(22));
-        let f = rocket.transform(&train);
-        assert!(f.iter().all(|row| row.len() == 200));
-        let acc = {
-            let pred = rocket.predict(&test);
-            pred.iter().zip(test.labels()).filter(|(a, b)| a == b).count() as f64
-                / test.len() as f64
-        };
-        assert!(acc > 0.85, "PPV-only accuracy {acc}");
     }
 
     #[test]
@@ -546,7 +530,7 @@ mod tests {
                 );
             }
         }
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100 });
         let acc = rocket.fit_score(&ds, None, &ds, &mut seeded(13));
         assert!(acc > 0.9, "accuracy {acc}");
     }

@@ -8,7 +8,7 @@ use tsda_core::{Dataset, Label};
 /// The paper's protocol (§IV-D) gives deep models a validation split cut
 /// from the *original* training data before augmentation; `fit` therefore
 /// takes an optional validation set. Models that do not use validation
-/// (ROCKET, 1-NN) ignore it.
+/// (ROCKET, MiniRocket) ignore it.
 pub trait Classifier {
     /// Stable model name for reports.
     fn name(&self) -> &'static str;

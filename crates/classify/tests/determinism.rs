@@ -44,7 +44,7 @@ fn rocket_features_do_not_depend_on_thread_count() {
     let ds = two_class_dataset(8, 2, 48, 31);
     let features = |threads: usize| {
         ThreadLimit::set(threads);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
         rocket.fit(&ds, None, &mut seeded(32));
         rocket.transform(&ds)
     };

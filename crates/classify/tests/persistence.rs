@@ -63,7 +63,7 @@ fn assert_round_trip(mut model: SavedModel, test: &Dataset, before: &[usize]) {
 #[test]
 fn rocket_round_trips_bit_identical() {
     let (train, test) = toy_problem(1, 8);
-    let mut m = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+    let mut m = Rocket::new(RocketConfig { n_kernels: 60 });
     m.fit(&train, None, &mut seeded(2));
     let before = m.predict(&test);
     assert_round_trip(SavedModel::Rocket(m), &test, &before);
@@ -120,7 +120,7 @@ fn unfitted_models_refuse_to_save() {
 #[test]
 fn every_single_byte_corruption_is_an_error_not_a_panic() {
     let (train, _) = toy_problem(8, 6);
-    let mut m = Rocket::new(RocketConfig { n_kernels: 12, ..RocketConfig::default() });
+    let mut m = Rocket::new(RocketConfig { n_kernels: 12 });
     m.fit(&train, None, &mut seeded(9));
     let bytes = SavedModel::Rocket(m).save_bytes().unwrap();
     for i in 0..bytes.len() {
@@ -137,7 +137,7 @@ fn every_single_byte_corruption_is_an_error_not_a_panic() {
 #[test]
 fn a_corrupt_nested_ridge_section_fails_its_own_checksum() {
     let (train, _) = toy_problem(12, 6);
-    let mut m = Rocket::new(RocketConfig { n_kernels: 12, ..RocketConfig::default() });
+    let mut m = Rocket::new(RocketConfig { n_kernels: 12 });
     m.fit(&train, None, &mut seeded(13));
     let mut bytes = SavedModel::Rocket(m).save_bytes().unwrap();
     // The ridge head is the last section, so its payload (itself a

@@ -36,7 +36,6 @@
 //! ```
 
 use crate::error::TsdaError;
-use std::path::Path;
 
 /// File magic: the first four bytes of every model file.
 pub const MAGIC: [u8; 4] = *b"TSDA";
@@ -144,12 +143,6 @@ impl CodecWriter {
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
-
-    /// Serialise and write to a file.
-    pub fn write_file(self, path: &Path) -> Result<(), TsdaError> {
-        std::fs::write(path, self.finish())?;
-        Ok(())
-    }
 }
 
 fn write_string(out: &mut Vec<u8>, s: &str) {
@@ -216,20 +209,9 @@ impl CodecReader {
         Ok(Self { kind, sections })
     }
 
-    /// Read and parse a container file.
-    pub fn read_file(path: &Path) -> Result<Self, TsdaError> {
-        let bytes = std::fs::read(path)?;
-        Self::parse(&bytes)
-    }
-
     /// The model kind tag the file was written with.
     pub fn kind(&self) -> &str {
         &self.kind
-    }
-
-    /// Section names in file order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
     }
 
     /// Borrow a section payload by name.
@@ -486,7 +468,6 @@ mod tests {
         let bytes = sample();
         let r = CodecReader::parse(&bytes).unwrap();
         assert_eq!(r.kind(), "test-model");
-        assert_eq!(r.section_names().collect::<Vec<_>>(), vec!["alpha", "beta"]);
         let mut b = ByteReader::new(r.section("alpha").unwrap());
         assert_eq!(b.usize().unwrap(), 3);
         assert_eq!(b.f64().unwrap(), 1.5);

@@ -109,13 +109,6 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Append every pair from `other` (must agree on shape and classes).
-    pub fn extend_from(&mut self, pairs: Vec<(Mts, Label)>) {
-        for (s, l) in pairs {
-            self.push(s, l);
-        }
-    }
-
     /// Count of series per class (length `n_classes`).
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];
@@ -142,14 +135,6 @@ impl Dataset {
             .enumerate()
             .filter(|&(_, &l)| l == class)
             .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Clone the series of one class into a new vector.
-    pub fn series_of_class(&self, class: Label) -> Vec<&Mts> {
-        self.indices_of_class(class)
-            .into_iter()
-            .map(|i| &self.series[i])
             .collect()
     }
 

@@ -69,21 +69,6 @@ where
     sum
 }
 
-/// [`sum_stable`] divided by the count; 0 for an empty input.
-pub fn mean_stable<T, I>(values: I) -> f64
-where
-    T: StableFloat + Into<f64>,
-    I: IntoIterator<Item = T>,
-{
-    let mut n = 0usize;
-    let sum = sum_stable(values.into_iter().inspect(|_| n += 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum.into() / n as f64
-    }
-}
-
 /// Mean and population standard deviation of the observed (non-`NaN`)
 /// values, each a [`sum_stable`] in order; `(0, 0)` when every value is
 /// missing. Allocates nothing: the one copy of the per-dimension
@@ -143,7 +128,5 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(sum_stable(std::iter::empty::<f64>()), 0.0);
         assert_eq!(sum_stable([3.5f64]), 3.5);
-        assert_eq!(mean_stable(std::iter::empty::<f64>()), 0.0);
-        assert_eq!(mean_stable([1.0f64, 2.0]), 1.5);
     }
 }

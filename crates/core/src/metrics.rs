@@ -66,15 +66,6 @@ pub fn relative_gain(baseline_acc: f64, augmented_acc: f64) -> f64 {
     }
 }
 
-/// Mean of a slice of run accuracies — the paper averages over five runs.
-pub fn mean_accuracy(runs: &[f64]) -> f64 {
-    if runs.is_empty() {
-        0.0
-    } else {
-        crate::math::sum_stable(runs.iter().copied()) / runs.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,12 +114,6 @@ mod tests {
     fn relative_gain_negative_when_worse() {
         assert!(relative_gain(0.9, 0.8) < 0.0);
         assert_eq!(relative_gain(0.0, 0.5), 0.0);
-    }
-
-    #[test]
-    fn mean_accuracy_averages_runs() {
-        assert!((mean_accuracy(&[0.8, 0.9]) - 0.85).abs() < 1e-12);
-        assert_eq!(mean_accuracy(&[]), 0.0);
     }
 
     #[test]

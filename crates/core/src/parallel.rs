@@ -108,11 +108,6 @@ impl ThreadLimit {
     }
 }
 
-/// The resolved default worker count (shorthand for [`ThreadLimit::get`]).
-pub fn num_threads() -> usize {
-    ThreadLimit::get()
-}
-
 /// A scoped worker pool with a fixed worker budget.
 ///
 /// Pools are cheap value types — no threads live between calls; each

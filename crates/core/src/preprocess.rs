@@ -1,11 +1,9 @@
-//! Preprocessing: z-normalisation, missing-value imputation, length
-//! adjustment.
+//! Preprocessing: z-normalisation and missing-value imputation.
 //!
 //! The archive protocol z-normalises per dimension and imputes the
 //! sparse missing stretches (CharacterTrajectories, SpokenArabicDigits)
 //! by linear interpolation before feeding any classifier.
 
-use crate::dataset::Dataset;
 use crate::math::observed_mean_std;
 use crate::series::Mts;
 
@@ -31,15 +29,6 @@ pub fn znormalize_dim(dim: &mut [f64]) {
         }
         *v = if std > 0.0 { (*v - mean) / std } else { *v - mean };
     }
-}
-
-/// Z-normalise every series of a dataset independently.
-pub fn znormalize_dataset(ds: &Dataset) -> Dataset {
-    let mut out = Dataset::empty(ds.n_classes());
-    for (s, l) in ds.iter() {
-        out.push(znormalize_series(s), l);
-    }
-    out
 }
 
 /// Replace missing values by linear interpolation between the nearest
@@ -84,42 +73,6 @@ pub fn impute_linear_dim(dim: &mut [f64]) {
         }
         i = end;
     }
-}
-
-/// Impute every series of a dataset.
-pub fn impute_dataset(ds: &Dataset) -> Dataset {
-    let mut out = Dataset::empty(ds.n_classes());
-    for (s, l) in ds.iter() {
-        out.push(impute_linear(s), l);
-    }
-    out
-}
-
-/// Shorten a series to `target_len` by averaging equal strides (simple
-/// anti-aliased decimation). A no-op when already short enough.
-pub fn decimate_series(s: &Mts, target_len: usize) -> Mts {
-    assert!(target_len > 0, "decimate to zero length");
-    if s.len() <= target_len {
-        return s.clone();
-    }
-    let mut dims = Vec::with_capacity(s.n_dims());
-    for m in 0..s.n_dims() {
-        let src = s.dim(m);
-        let mut d = Vec::with_capacity(target_len);
-        for k in 0..target_len {
-            let start = k * s.len() / target_len;
-            let end = ((k + 1) * s.len() / target_len).max(start + 1);
-            let window = &src[start..end];
-            let vals: Vec<f64> = window.iter().copied().filter(|v| !v.is_nan()).collect();
-            d.push(if vals.is_empty() {
-                f64::NAN
-            } else {
-                crate::math::sum_stable(vals.iter().copied()) / vals.len() as f64
-            });
-        }
-        dims.push(d);
-    }
-    Mts::from_dims(dims)
 }
 
 #[cfg(test)]
@@ -167,18 +120,5 @@ mod tests {
         let s = Mts::from_dims(vec![vec![f64::NAN, f64::NAN]]);
         let i = impute_linear(&s);
         assert_eq!(i.dim(0), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn decimate_halves_length_with_averaging() {
-        let s = Mts::from_dims(vec![vec![1.0, 3.0, 5.0, 7.0]]);
-        let d = decimate_series(&s, 2);
-        assert_eq!(d.dim(0), &[2.0, 6.0]);
-    }
-
-    #[test]
-    fn decimate_noop_when_short() {
-        let s = Mts::from_dims(vec![vec![1.0, 2.0]]);
-        assert_eq!(decimate_series(&s, 5), s);
     }
 }

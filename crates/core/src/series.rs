@@ -145,21 +145,6 @@ impl Mts {
         crate::math::observed_mean_std(self.dim(m)).1
     }
 
-    /// Extract the sub-series covering time steps `[start, end)` in every
-    /// dimension.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or reversed.
-    pub fn slice_time(&self, start: usize, end: usize) -> Mts {
-        assert!(start <= end && end <= self.len, "bad slice {start}..{end} of {}", self.len);
-        let seg = end - start;
-        let mut data = Vec::with_capacity(self.n_dims * seg);
-        for m in 0..self.n_dims {
-            data.extend_from_slice(&self.dim(m)[start..end]);
-        }
-        Mts { n_dims: self.n_dims, len: seg, data }
-    }
-
     /// Euclidean distance to another series of the same shape, treating
     /// the series as a point in `M·T` space and skipping positions where
     /// either side is missing.
@@ -232,14 +217,6 @@ mod tests {
         let s = Mts::from_dims(vec![vec![f64::NAN, f64::NAN]]);
         assert_eq!(s.dim_mean(0), 0.0);
         assert_eq!(s.dim_std(0), 0.0);
-    }
-
-    #[test]
-    fn slice_time_extracts_all_dims() {
-        let s = Mts::from_dims(vec![vec![0.0, 1.0, 2.0, 3.0], vec![10.0, 11.0, 12.0, 13.0]]);
-        let sub = s.slice_time(1, 3);
-        assert_eq!(sub.dim(0), &[1.0, 2.0]);
-        assert_eq!(sub.dim(1), &[11.0, 12.0]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tsda_core::characteristics::{hellinger_distance, imbalance_degree_hellinger};
 use tsda_core::metrics::{accuracy, confusion_matrix, macro_f1, relative_gain};
-use tsda_core::preprocess::{decimate_series, impute_linear, znormalize_series};
+use tsda_core::preprocess::{impute_linear, znormalize_series};
 use tsda_core::{Dataset, Mts};
 
 fn series(dims: usize, len: usize) -> impl Strategy<Value = Mts> {
@@ -101,15 +101,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn decimate_preserves_mean_approximately(s in series(1, 32)) {
-        let d = decimate_series(&s, 8);
-        prop_assert_eq!(d.len(), 8);
-        let mean_orig = s.dim_mean(0);
-        let mean_dec = d.dim_mean(0);
-        prop_assert!((mean_orig - mean_dec).abs() < 1e-9, "{} vs {}", mean_orig, mean_dec);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Cholesky factorisation of symmetric positive-definite matrices.
 //!
 //! Used by the structure-preserving oversamplers (OHIT, INOS) to draw
-//! correlated Gaussian samples `x = μ + L z`, and by the ridge solver as a
-//! fast path when no LOOCV sweep is needed.
+//! correlated Gaussian samples `x = μ + L z`.
 
 use crate::matrix::Matrix;
 
@@ -88,43 +87,6 @@ pub fn cholesky_jittered(a: &Matrix, max_tries: usize) -> Result<(Matrix, f64), 
     }
 }
 
-/// Solve `A x = b` for symmetric positive-definite `A` via Cholesky.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, CholeskyError> {
-    let l = cholesky(a)?;
-    let y = forward_substitute(&l, b);
-    Ok(back_substitute_transposed(&l, &y))
-}
-
-/// Solve `L y = b` for lower-triangular `L`.
-pub fn forward_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(b.len(), n, "forward_substitute dimension mismatch");
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut v = b[i];
-        for k in 0..i {
-            v -= l[(i, k)] * y[k];
-        }
-        y[i] = v / l[(i, i)];
-    }
-    y
-}
-
-/// Solve `Lᵀ x = y` given the *lower*-triangular `L`.
-pub fn back_substitute_transposed(l: &Matrix, y: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(y.len(), n, "back_substitute dimension mismatch");
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut v = y[i];
-        for k in (i + 1)..n {
-            v -= l[(k, i)] * x[k];
-        }
-        x[i] = v / l[(i, i)];
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,17 +133,6 @@ mod tests {
     #[test]
     fn rejects_non_square() {
         assert_eq!(cholesky(&Matrix::zeros(2, 3)), Err(CholeskyError::NotSquare));
-    }
-
-    #[test]
-    fn solve_spd_matches_matvec() {
-        let a = spd3();
-        let x_true = vec![1.0, -2.0, 0.5];
-        let b = a.matvec(&x_true);
-        let x = solve_spd(&a, &b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-9, "{x:?} != {x_true:?}");
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The paper's pipeline needs a surprising amount of numerical machinery:
 //! ridge regression with leave-one-out cross-validation (the classifier
 //! behind ROCKET), covariance estimation with shrinkage (OHIT / INOS
-//! structure-preserving oversampling), eigendecomposition (imbalance-aware
-//! sampling along principal axes), and PCA (diagnostics). None of the
-//! crates allowed offline provide these, so this crate implements them
-//! from scratch on a small row-major [`Matrix`] type.
+//! structure-preserving oversampling) and eigendecomposition
+//! (imbalance-aware sampling along principal axes). None of the crates
+//! allowed offline provide these, so this crate implements them from
+//! scratch on a small row-major [`Matrix`] type.
 //!
 //! Everything here is `f64`: the statistical code paths are accuracy
 //! sensitive (LOOCV residuals, shrinkage intensities), and the matrices
@@ -28,17 +28,13 @@ pub mod cov;
 pub mod eig;
 pub mod gemm;
 pub mod matrix;
-pub mod pca;
 #[allow(unsafe_code)]
 pub mod simd;
 pub mod solve;
-pub mod svd;
 pub mod vector;
 
 pub use cholesky::CholeskyError;
 pub use cov::{covariance_matrix, shrinkage_covariance, ShrinkageCovariance};
 pub use eig::SymmetricEig;
 pub use matrix::Matrix;
-pub use pca::Pca;
 pub use solve::{RidgeLoocv, RidgeSolution};
-pub use svd::Svd;

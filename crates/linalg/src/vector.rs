@@ -20,12 +20,6 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     tsda_core::math::sum_stable(a.iter().zip(b).map(|(x, y)| (x - y) * (x - y))).sqrt()
 }
 
-/// Squared Euclidean distance (avoids the sqrt when only ordering matters).
-pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distance length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -44,11 +38,6 @@ pub fn variance(a: &[f64]) -> f64 {
     tsda_core::math::sum_stable(a.iter().map(|v| (v - m) * (v - m))) / a.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(a: &[f64]) -> f64 {
-    variance(a).sqrt()
-}
-
 /// `y ← y + alpha * x`.
 ///
 /// # Panics
@@ -60,34 +49,12 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Normalise a vector to unit L2 norm in place; leaves zero vectors untouched.
-pub fn normalize(a: &mut [f64]) {
-    let n = norm(a);
-    if n > 0.0 {
-        for v in a.iter_mut() {
-            *v /= n;
-        }
-    }
-}
-
 /// Index of the maximum element (first on ties); `None` for empty input.
 pub fn argmax(a: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &v) in a.iter().enumerate() {
         match best {
             Some((_, bv)) if v <= bv => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the minimum element (first on ties); `None` for empty input.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in a.iter().enumerate() {
-        match best {
-            Some((_, bv)) if v >= bv => {}
             _ => best = Some((i, v)),
         }
     }
@@ -109,7 +76,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [-1.0, 0.5, 2.0];
         assert!((euclidean_distance(&a, &b) - euclidean_distance(&b, &a)).abs() < 1e-15);
-        assert!((euclidean_distance(&a, &b).powi(2) - squared_distance(&a, &b)).abs() < 1e-12);
     }
 
     #[test]
@@ -133,23 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn normalize_gives_unit_norm() {
-        let mut a = vec![3.0, 4.0];
-        normalize(&mut a);
-        assert!((norm(&a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut a = vec![0.0, 0.0];
-        normalize(&mut a);
-        assert_eq!(a, vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn argmax_argmin_prefer_first_tie() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[2.0, 1.0, 1.0]), Some(1));
         assert_eq!(argmax(&[]), None);
     }
 }

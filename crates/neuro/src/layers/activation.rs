@@ -7,7 +7,6 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Relu,
-    LeakyRelu,
     Sigmoid,
     Tanh,
 }
@@ -17,7 +16,7 @@ pub struct Activation {
     kind: Kind,
     /// Output cache — enough to compute every supported derivative.
     cached_out: Option<Tensor>,
-    /// Input cache, needed by (leaky) ReLU whose derivative depends on
+    /// Input cache, needed by ReLU whose derivative depends on
     /// the input sign rather than the output value at zero.
     cached_in: Option<Tensor>,
 }
@@ -26,11 +25,6 @@ impl Activation {
     /// Rectified linear unit.
     pub fn relu() -> Self {
         Self { kind: Kind::Relu, cached_out: None, cached_in: None }
-    }
-
-    /// Leaky ReLU with slope 0.01 (used by GAN discriminators).
-    pub fn leaky_relu() -> Self {
-        Self { kind: Kind::LeakyRelu, cached_out: None, cached_in: None }
     }
 
     /// Logistic sigmoid.
@@ -46,13 +40,6 @@ impl Activation {
     fn apply(&self, v: f32) -> f32 {
         match self.kind {
             Kind::Relu => v.max(0.0),
-            Kind::LeakyRelu => {
-                if v >= 0.0 {
-                    v
-                } else {
-                    0.01 * v
-                }
-            }
             Kind::Sigmoid => 1.0 / (1.0 + (-v).exp()),
             Kind::Tanh => v.tanh(),
         }
@@ -85,13 +72,6 @@ impl Layer for Activation {
                 for (g, &x) in gx.data_mut().iter_mut().zip(inp.data()) {
                     if x <= 0.0 {
                         *g = 0.0;
-                    }
-                }
-            }
-            Kind::LeakyRelu => {
-                for (g, &x) in gx.data_mut().iter_mut().zip(inp.data()) {
-                    if x < 0.0 {
-                        *g *= 0.01;
                     }
                 }
             }
@@ -143,7 +123,6 @@ mod tests {
         let x = Tensor::from_flat(&[2, 3], vec![-1.5, -0.1, 0.4, 0.2, 1.0, 3.0]);
         for mut a in [
             Activation::relu(),
-            Activation::leaky_relu(),
             Activation::sigmoid(),
             Activation::tanh(),
         ] {

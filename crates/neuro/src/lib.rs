@@ -27,5 +27,5 @@ pub mod train;
 
 pub use layers::{Layer, Activation, BatchNorm1d, Conv1d, Dense, GlobalAvgPool1d, Gru, MaxPool1dSame};
 pub use loss::{mse_loss, softmax_cross_entropy, bce_with_logits};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use tensor::Tensor;

@@ -1,42 +1,7 @@
-//! Optimisers. Adam is what both the InceptionTime reference (fastai) and
-//! the TimeGAN reference use; SGD with momentum is kept for ablations.
+//! The optimiser. Adam is what both the InceptionTime reference (fastai)
+//! and the TimeGAN reference use, and every trainer here uses it.
 
 use crate::layers::Layer;
-
-/// Stochastic gradient descent with classical momentum.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 = plain SGD).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// SGD with the given rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-
-    /// Apply one update step using the gradients accumulated in `layer`.
-    pub fn step<L: Layer + ?Sized>(&mut self, layer: &mut L) {
-        let (lr, mom) = (self.lr, self.momentum);
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        layer.visit_params(&mut |p, g| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; p.len()]);
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(v.len(), p.len(), "optimiser used with a different layer");
-            for i in 0..p.len() {
-                v[i] = mom * v[i] + g[i];
-                p[i] -= lr * v[i];
-            }
-            idx += 1;
-        });
-    }
-}
 
 /// Adam (Kingma & Ba 2015) with optional global-norm gradient clipping.
 pub struct Adam {
@@ -177,58 +142,5 @@ mod tests {
         let _ = a.backward(&Tensor::zeros(&[1, 2]));
         opt.step(&mut a);
         opt.step(&mut b);
-    }
-}
-
-#[cfg(test)]
-mod sgd_tests {
-    use super::*;
-    use crate::layers::{Dense, Layer};
-    use crate::loss::mse_loss;
-    use crate::tensor::Tensor;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn sgd_with_momentum_fits_linear_regression() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut net = Dense::new(1, 1, &mut rng);
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = Tensor::from_flat(&[4, 1], vec![-1.0, 0.0, 1.0, 2.0]);
-        let y = Tensor::from_flat(&[4, 1], vec![-3.0, 0.0, 3.0, 6.0]);
-        let initial = mse_loss(&net.forward(&x), &y).0;
-        for _ in 0..200 {
-            let out = net.forward(&x);
-            let (_, grad) = mse_loss(&out, &y);
-            net.zero_grad();
-            let _ = net.backward(&grad);
-            opt.step(&mut net);
-        }
-        let fin = mse_loss(&net.forward(&x), &y).0;
-        assert!(fin < initial / 50.0, "initial {initial}, final {fin}");
-    }
-
-    #[test]
-    fn zero_momentum_is_plain_gradient_descent() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Dense::new(1, 1, &mut rng);
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = Tensor::from_flat(&[1, 1], vec![1.0]);
-        let y = Tensor::from_flat(&[1, 1], vec![5.0]);
-        let mut w_before = Vec::new();
-        net.visit_params(&mut |p, _| w_before.extend_from_slice(p));
-        let out = net.forward(&x);
-        let (_, grad) = mse_loss(&out, &y);
-        net.zero_grad();
-        let _ = net.backward(&grad);
-        // Capture gradients, then verify p' = p − lr·g exactly.
-        let mut grads = Vec::new();
-        net.visit_params(&mut |_, g| grads.extend_from_slice(g));
-        opt.step(&mut net);
-        let mut w_after = Vec::new();
-        net.visit_params(&mut |p, _| w_after.extend_from_slice(p));
-        for ((b, a), g) in w_before.iter().zip(&w_after).zip(&grads) {
-            assert!((a - (b - 0.1 * g)).abs() < 1e-7);
-        }
     }
 }

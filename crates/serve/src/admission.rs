@@ -65,9 +65,6 @@ pub struct Admission {
     config: AdmissionConfig,
     started: Instant,
     buckets: Mutex<BTreeMap<String, Bucket>>,
-    /// Requests refused (for the stats endpoint; the per-request
-    /// `throttled` counter lives in [`crate::stats::ServerStats`]).
-    throttled: std::sync::atomic::AtomicU64,
 }
 
 impl Admission {
@@ -77,18 +74,12 @@ impl Admission {
             config,
             started: Instant::now(),
             buckets: Mutex::new(BTreeMap::new()),
-            throttled: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// The active quota.
     pub fn config(&self) -> AdmissionConfig {
         self.config
-    }
-
-    /// Total refusals so far.
-    pub fn throttled_total(&self) -> u64 {
-        self.throttled.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Admit or refuse one request from `key` at the current time.
@@ -132,13 +123,11 @@ impl Admission {
             Some(1.0 - bucket.tokens)
         };
         drop(table);
-        // Refusal accounting and the hint math run with the table
-        // released so a throttled client never extends the critical
-        // section for admitted ones.
+        // The hint math runs with the table released so a throttled
+        // client never extends the critical section for admitted ones.
         match deficit {
             None => Ok(()),
             Some(deficit) => {
-                self.throttled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 // Milliseconds until one whole token is available, rounded
                 // up and floored at 1 so the hint is always actionable.
                 let ms = (deficit / self.config.rate_per_s * 1e3).ceil();
@@ -161,7 +150,6 @@ mod tests {
         let hint = a.admit_at("c1", 0).unwrap_err();
         // One token at 10/s takes 100 ms.
         assert_eq!(hint, 100);
-        assert_eq!(a.throttled_total(), 1);
     }
 
     #[test]

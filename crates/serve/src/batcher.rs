@@ -1,9 +1,9 @@
 //! Adaptive micro-batching: one worker thread per lane coalesces
 //! concurrent requests into single batched calls. Every model and every
 //! augmentation pipeline gets a lane, and all lanes are the same code —
-//! a [`JobRing`], a [`TicketPool`], [`QueueCounters`], and one worker
+//! a `JobRing`, a `TicketPool`, `QueueCounters`, and one worker
 //! loop — generic over the job payload. A lane supplies only its work
-//! ([`LaneWork`]), in two steps: an **item step**, which the worker runs
+//! (`LaneWork`), in two steps: an **item step**, which the worker runs
 //! on each job as it takes it off the ring, while the window is open,
 //! and a **batch step**, which runs once when the window closes. A
 //! ROCKET, MiniRocket or ridge lane transforms each series into its
@@ -28,7 +28,7 @@
 //! without limit — the connection handler turns that into an explicit
 //! `{"ok":false,"error":"overloaded","retry_ms":N}` reply, so overload
 //! degrades into client backoff rather than unbounded memory growth and
-//! latency collapse. A [`FaultPlan`](crate::faults::FaultPlan) can
+//! latency collapse. A [`FaultPlan`] can
 //! additionally shed submits and stall workers to prove the path works.
 //!
 //! # Zero-allocation steady state
@@ -36,10 +36,10 @@
 //! `submit` is a hot path (`tsda_analyze` R3), so nothing on it may
 //! allocate once the server is warm:
 //!
-//! * each queue is a [`JobRing`] — a `VecDeque` preallocated to
+//! * each queue is a `JobRing` — a `VecDeque` preallocated to
 //!   `queue_cap` behind one mutex, so enqueue/dequeue never grow it;
-//! * each reply travels through a recycled [`ReplyTicket`] from a warm
-//!   [`TicketPool`] (also preallocated to `queue_cap`), replacing the
+//! * each reply travels through a recycled `ReplyTicket` from a warm
+//!   `TicketPool` (also preallocated to `queue_cap`), replacing the
 //!   per-request `mpsc::sync_channel` pair the first version allocated;
 //! * the workers keep per-thread scratch (payload / pending / result
 //!   vectors sized to `max_batch`) and **move** each job's payload into
@@ -55,7 +55,7 @@
 //! a server shutting down under load still answers every job that was
 //! accepted into a queue before the listener stopped. A worker that
 //! drops a job without answering (e.g. a panic mid-batch) still wakes
-//! the waiting connection: dropping a [`ReplySlot`] posts a shutdown
+//! the waiting connection: dropping a `ReplySlot` posts a shutdown
 //! error into its ticket.
 
 use crate::faults::FaultPlan;
@@ -807,7 +807,7 @@ mod tests {
                 );
             }
         }
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 40, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 40 });
         rocket.fit(&ds, None, &mut seeded(12));
         (rocket, ds)
     }

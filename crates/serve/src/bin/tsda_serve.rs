@@ -194,7 +194,6 @@ fn train_model(kind: &str, train: &Dataset, fast: bool, seed: u64) -> Result<Sav
         "rocket" => {
             let config = RocketConfig {
                 n_kernels: if fast { 200 } else { RocketConfig::default().n_kernels },
-                ..RocketConfig::default()
             };
             let mut m = Rocket::new(config);
             m.fit(train, None, &mut rng);

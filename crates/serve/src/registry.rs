@@ -263,7 +263,7 @@ mod tests {
         let flatten = |ds: &Dataset| -> Vec<Vec<f64>> {
             ds.series().iter().map(|s| s.as_flat().to_vec()).collect()
         };
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 50 });
         rocket.fit(&train, None, &mut seeded(3));
         let mut minirocket = MiniRocket::new(MiniRocketConfig { n_features: 168 });
         minirocket.fit(&train, None, &mut seeded(3));
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn registry_lookup_and_listing() {
         let train = toy_dataset(4);
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 30, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 30 });
         rocket.fit(&train, None, &mut seeded(5));
         let mut reg = ModelRegistry::new();
         reg.insert(ModelEntry::from_saved("rocket", SavedModel::Rocket(rocket), None).unwrap());

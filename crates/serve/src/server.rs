@@ -14,7 +14,7 @@
 //! request it answers, even under shutdown.
 //!
 //! When [`ServerConfig::faults`] carries a
-//! [`FaultPlan`](crate::faults::FaultPlan), connections corrupt request
+//! [`FaultPlan`], connections corrupt request
 //! bytes and delay/tear/drop response writes, and the lanes stall
 //! workers and shed submits, on the plan's deterministic schedule (see
 //! [`crate::faults`]). When [`ServerConfig::admission`] is set, predict

@@ -7,9 +7,9 @@
 //! practice: with whole-octave resolution every latency between 4.1 ms
 //! and 8.2 ms lands in one bucket, so a snapshot could report
 //! `request_p50_us == request_p99_us == 8192`. Each octave is
-//! therefore split into [`SUB_BUCKETS`] linear sub-buckets (the
+//! therefore split into `SUB_BUCKETS` linear sub-buckets (the
 //! HdrHistogram layout), bounding the relative error of any reported
-//! percentile at `1/SUB_BUCKETS` ≈ 3%. Values below [`SUB_BUCKETS`]
+//! percentile at `1/SUB_BUCKETS` ≈ 3%. Values below `SUB_BUCKETS`
 //! are exact. Percentiles are upper bounds of the matched sub-bucket;
 //! exact client-side percentiles come from the benchmark
 //! (`perfbench/`), which times every request itself.

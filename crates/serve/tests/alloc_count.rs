@@ -150,7 +150,7 @@ fn warm_batcher_answers_requests_without_allocating() {
     // real `Batcher`.
     let rocket_train = two_class(3);
     let fit_rocket = || {
-        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100, ..RocketConfig::default() });
+        let mut rocket = Rocket::new(RocketConfig { n_kernels: 100 });
         rocket.fit(&rocket_train, None, &mut seeded(5));
         rocket
     };

@@ -45,7 +45,7 @@ fn toy_problem(seed: u64) -> (Dataset, Dataset) {
 /// Deterministic in `seed`, so two calls build byte-identical replicas.
 fn replica_server(seed: u64) -> (ServerHandle, Vec<Label>, Dataset) {
     let (train, test) = toy_problem(seed);
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
     rocket.fit(&train, None, &mut seeded(5));
     let offline = rocket.predict(&test);
     let bytes = SavedModel::Rocket(rocket).save_bytes().unwrap();

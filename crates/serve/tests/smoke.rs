@@ -112,7 +112,7 @@ fn pipeline_v2(addr: &str, requests: &[Request2]) -> Vec<Response> {
 fn build_registry(train: &Dataset) -> (ModelRegistry, Vec<Label>, Vec<Label>, Dataset) {
     let (_, test) = toy_problem(21);
 
-    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60, ..RocketConfig::default() });
+    let mut rocket = Rocket::new(RocketConfig { n_kernels: 60 });
     rocket.fit(train, None, &mut seeded(5));
     let rocket_offline = rocket.predict(&test);
     let bytes = SavedModel::Rocket(rocket).save_bytes().unwrap();

@@ -1,10 +1,11 @@
 //! Dynamic time warping for multivariate series.
 //!
-//! Two consumers in this workspace: the guided-warping augmenter (warps a
-//! sample along its DTW alignment with a same-class teacher) and the
-//! 1-NN DTW reference classifier. Both need the alignment *path*, not
-//! just the distance, so the full cost matrix is materialised; an
-//! optional Sakoe-Chiba band keeps long series affordable.
+//! Two augmenters in this workspace, guided warping (warps a sample
+//! along its DTW alignment with a same-class teacher) and DBA averaging,
+//! need the alignment *path*, not just the distance, so the full cost
+//! matrix is materialised; the DTW distance matrix of `tsda_classify`
+//! uses the distance alone. An optional Sakoe-Chiba band keeps long
+//! series affordable.
 
 use tsda_core::Mts;
 use tsda_linalg::simd;

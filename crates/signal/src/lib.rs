@@ -4,13 +4,13 @@
 //! augmentation taxonomy need spectral and time-warping machinery that no
 //! offline crate provides:
 //!
-//! * [`fft`] — radix-2 FFT plus Bluestein's algorithm for arbitrary
+//! * [`fft`](mod@fft) — radix-2 FFT plus Bluestein's algorithm for arbitrary
 //!   lengths, the basis of all frequency-domain perturbations;
-//! * [`stft`] — short-time Fourier transform and its inverse, used by the
+//! * [`stft`](mod@stft) — short-time Fourier transform and its inverse, used by the
 //!   SpecAugment-style spectrogram masking;
 //! * [`dtw`] — dynamic time warping with optional Sakoe-Chiba band and
-//!   alignment-path extraction, used by guided warping and the 1-NN DTW
-//!   reference classifier;
+//!   alignment-path extraction, used by guided warping, DBA averaging
+//!   and the DTW distance matrix;
 //! * [`interp`] — linear and natural-cubic-spline interpolation, used by
 //!   time warping and EMD envelopes;
 //! * [`decompose`] — moving-average trend/seasonal/residual split (an

@@ -28,11 +28,6 @@ impl Stft {
         self.frames.len()
     }
 
-    /// Number of frequency bins per frame (= frame length).
-    pub fn n_bins(&self) -> usize {
-        self.frame_len
-    }
-
     /// Magnitude spectrogram (`frames × bins`).
     pub fn magnitudes(&self) -> Vec<Vec<f64>> {
         self.frames

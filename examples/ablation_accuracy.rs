@@ -21,7 +21,7 @@ use tsda_datasets::registry::{DatasetId, DatasetMeta};
 use tsda_datasets::synth::{generate, GenOptions};
 
 fn score(train: &Dataset, test: &Dataset, kernels: usize, seed: u64) -> f64 {
-    let mut model = Rocket::new(RocketConfig { n_kernels: kernels, ..RocketConfig::default() });
+    let mut model = Rocket::new(RocketConfig { n_kernels: kernels });
     model.fit_score(train, None, test, &mut seeded(seed)) * 100.0
 }
 

@@ -74,7 +74,7 @@ fn main() {
                 .expect("balancing succeeds on this dataset"),
             None => train.clone(),
         };
-        let mut model = Rocket::new(RocketConfig { n_kernels: 300, ..RocketConfig::default() });
+        let mut model = Rocket::new(RocketConfig { n_kernels: 300 });
         model.fit(&train_set, None, &mut seeded(4));
         let pred = model.predict(&test);
         let f1 = macro_f1(&pred, test.labels(), 2);

@@ -19,7 +19,7 @@ fn rocket_beats_chance_on_separable_archive_datasets() {
         let meta = DatasetMeta::get(id);
         let data = generate(meta, &GenOptions::ci(31));
         let chance = 1.0 / meta.n_classes as f64;
-        let mut model = Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
+        let mut model = Rocket::new(RocketConfig { n_kernels: 200 });
         let acc = model.fit_score(&data.train, None, &data.test, &mut seeded(1));
         assert!(acc > 2.0 * chance, "{}: acc {acc} vs chance {chance}", meta.name);
     }
@@ -35,7 +35,7 @@ fn rocket_stays_near_chance_on_finger_movements() {
     for seed in [32u64, 33, 34] {
         let data = generate(meta, &GenOptions::ci(seed));
         let mut model =
-            Rocket::new(RocketConfig { n_kernels: 200, ..RocketConfig::default() });
+            Rocket::new(RocketConfig { n_kernels: 200 });
         total += model.fit_score(&data.train, None, &data.test, &mut seeded(seed));
     }
     let acc = total / 3.0;
